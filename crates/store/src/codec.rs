@@ -13,6 +13,11 @@
 //! Every decoder returns a typed [`ProxError::Corrupt`] on truncated or
 //! malformed input — never a panic — and validates declared lengths
 //! against the bytes actually present before allocating.
+//!
+//! A frame payload is read by one walk of its grammar, which makes every
+//! check. [`decode_entry`] builds the tensor along the walk;
+//! [`skim_entry`] only sums its size, without allocating, for the frames
+//! a selected fold reads but does not keep.
 
 use prox_obs::{fnv64, Json, FNV_OFFSET};
 use prox_provenance::{AggValue, AnnId, AnnStore, CmpOp, Guard, Monomial, Polynomial, Tensor};
@@ -235,53 +240,187 @@ fn decode_ann(dec: &mut Dec<'_>, max_ann: usize) -> Result<AnnId, ProxError> {
     Ok(AnnId::from_index(ix))
 }
 
-fn decode_poly(dec: &mut Dec<'_>, max_ann: usize) -> Result<Polynomial, ProxError> {
+/// One monomial's factor ids as they sit in a frame payload: `4 × n`
+/// little-endian bytes, each id already checked against the annotation
+/// table.
+#[derive(Clone, Copy)]
+struct Factors<'a>(&'a [u8]);
+
+impl<'a> Factors<'a> {
+    fn len(self) -> usize {
+        self.0.len() / 4
+    }
+
+    fn ids(self) -> impl Iterator<Item = u32> + 'a {
+        self.0
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+    }
+}
+
+/// What a walk of the frame grammar ([`walk_entry`]) hands over, in
+/// payload order. The walk checks every field before handing it over,
+/// so a visitor only builds the tensor ([`decode_entry`]) or counts its
+/// size ([`skim_entry`]).
+trait FrameVisitor<'a> {
+    /// One term of the polynomial being read.
+    fn term(&mut self, factors: Factors<'a>, coeff: u64);
+    /// The terms since the last polynomial ended are the tensor's
+    /// provenance.
+    fn prov(&mut self);
+    /// The terms since the last polynomial ended are one guard lhs
+    /// polynomial, with weight `w`.
+    fn lhs(&mut self, w: f64);
+    /// The lhs polynomials since the last guard ended make one guard.
+    fn guard(&mut self, op: CmpOp, rhs: f64);
+}
+
+/// The frame grammar, stated once for [`decode_entry`] and
+/// [`skim_entry`]: every count field is checked against the bytes left,
+/// every annotation id against `max_ann`, every comparison-op tag, and
+/// that no bytes trail the value.
+fn walk_entry<'a>(
+    payload: &'a [u8],
+    max_ann: usize,
+    v: &mut impl FrameVisitor<'a>,
+) -> Result<(AnnId, AggValue), ProxError> {
+    let mut dec = Dec::new(payload, "store frame");
+    let object = decode_ann(&mut dec, max_ann)?;
+    walk_poly(&mut dec, max_ann, v)?;
+    v.prov();
+    let n_guards = dec.len_field("guard")?;
+    for _ in 0..n_guards {
+        let n_lhs = dec.len_field("guard lhs term")?;
+        for _ in 0..n_lhs {
+            walk_poly(&mut dec, max_ann, v)?;
+            v.lhs(dec.f64()?);
+        }
+        let op = op_from_tag(dec.u8()?, &dec)?;
+        v.guard(op, dec.f64()?);
+    }
+    let value = dec.f64()?;
+    let count = dec.u64()?;
+    dec.finish()?;
+    Ok((object, AggValue { value, count }))
+}
+
+fn walk_poly<'a>(
+    dec: &mut Dec<'a>,
+    max_ann: usize,
+    v: &mut impl FrameVisitor<'a>,
+) -> Result<(), ProxError> {
     let n_terms = dec.len_field("polynomial term")?;
-    let mut terms = Vec::with_capacity(n_terms.min(1024));
     for _ in 0..n_terms {
         let n_factors = dec.len_field("monomial factor")?;
-        let mut factors = Vec::with_capacity(n_factors.min(1024));
+        let start = dec.pos;
         for _ in 0..n_factors {
-            factors.push(decode_ann(dec, max_ann)?);
+            decode_ann(dec, max_ann)?;
         }
-        let coeff = dec.u64()?;
-        terms.push((Monomial::from_factors(factors), coeff));
+        let factors = Factors(&dec.buf[start..dec.pos]);
+        v.term(factors, dec.u64()?);
     }
-    Ok(Polynomial::from_terms(terms))
+    Ok(())
+}
+
+/// Builds the tensor a walk describes.
+#[derive(Default)]
+struct Build {
+    terms: Vec<(Monomial, u64)>,
+    prov: Polynomial,
+    lhs: Vec<(Polynomial, f64)>,
+    guards: Vec<Guard>,
+}
+
+impl FrameVisitor<'_> for Build {
+    fn term(&mut self, factors: Factors<'_>, coeff: u64) {
+        let factors = factors.ids().map(|ix| AnnId::from_index(ix as usize));
+        self.terms
+            .push((Monomial::from_factors(factors.collect()), coeff));
+    }
+
+    fn prov(&mut self) {
+        self.prov = Polynomial::from_terms(std::mem::take(&mut self.terms));
+    }
+
+    fn lhs(&mut self, w: f64) {
+        let p = Polynomial::from_terms(std::mem::take(&mut self.terms));
+        self.lhs.push((p, w));
+    }
+
+    fn guard(&mut self, op: CmpOp, rhs: f64) {
+        let lhs = std::mem::take(&mut self.lhs);
+        self.guards.push(Guard { lhs, op, rhs });
+    }
 }
 
 /// Decode a frame payload back into `(object, tensor)`. `max_ann` is the
 /// annotation-store size; any id at or past it is a corruption, not an
 /// index-out-of-bounds panic later.
 pub fn decode_entry(payload: &[u8], max_ann: usize) -> Result<(AnnId, Tensor), ProxError> {
-    let mut dec = Dec::new(payload, "store frame");
-    let object = decode_ann(&mut dec, max_ann)?;
-    let prov = decode_poly(&mut dec, max_ann)?;
-    let n_guards = dec.len_field("guard")?;
-    let mut guards = Vec::with_capacity(n_guards.min(1024));
-    for _ in 0..n_guards {
-        let n_lhs = dec.len_field("guard lhs term")?;
-        let mut lhs = Vec::with_capacity(n_lhs.min(1024));
-        for _ in 0..n_lhs {
-            let p = decode_poly(&mut dec, max_ann)?;
-            let w = dec.f64()?;
-            lhs.push((p, w));
-        }
-        let tag = dec.u8()?;
-        let op = op_from_tag(tag, &dec)?;
-        let rhs = dec.f64()?;
-        guards.push(Guard { lhs, op, rhs });
+    let mut build = Build::default();
+    let (object, value) = walk_entry(payload, max_ann, &mut build)?;
+    Ok((object, Tensor::guarded(build.prov, build.guards, value)))
+}
+
+/// Sums a walk's provenance size without allocating, and notes whether
+/// every polynomial is in the normal form [`encode_entry`] writes.
+struct Skim<'a> {
+    size: usize,
+    /// The previous term of the polynomial being read.
+    prev: Option<Factors<'a>>,
+    canonical: bool,
+}
+
+impl<'a> FrameVisitor<'a> for Skim<'a> {
+    fn term(&mut self, factors: Factors<'a>, coeff: u64) {
+        // Sorted factors, strictly increasing monomials and positive
+        // coefficients: `Polynomial::from_terms` would drop or merge
+        // nothing, so the size is the sum of the degrees.
+        let sorted = factors
+            .ids()
+            .zip(factors.ids().skip(1))
+            .all(|(a, b)| a <= b);
+        let increasing = self.prev.is_none_or(|prev| prev.ids().lt(factors.ids()));
+        self.canonical &= coeff > 0 && sorted && increasing;
+        self.size += factors.len();
+        self.prev = Some(factors);
     }
-    let value = dec.f64()?;
-    let count = dec.u64()?;
-    dec.finish()?;
-    let agg = AggValue { value, count };
-    let tensor = if guards.is_empty() {
-        Tensor::new(prov, agg)
-    } else {
-        Tensor::guarded(prov, guards, agg)
+
+    fn prov(&mut self) {
+        self.prev = None;
+    }
+
+    fn lhs(&mut self, _w: f64) {
+        self.prev = None;
+    }
+
+    fn guard(&mut self, _op: CmpOp, _rhs: f64) {}
+}
+
+/// [`decode_entry`]'s object and tensor size, from the same checks, but
+/// without building the tensor: no allocation unless a polynomial is out
+/// of normal form, in which case the payload is decoded to count what
+/// normalizing leaves.
+pub fn skim_entry(payload: &[u8], max_ann: usize) -> Result<(AnnId, usize), ProxError> {
+    let mut skim = Skim {
+        size: 0,
+        prev: None,
+        canonical: true,
     };
-    Ok((object, tensor))
+    let (object, _) = walk_entry(payload, max_ann, &mut skim)?;
+    if skim.canonical {
+        return Ok((object, skim.size));
+    }
+    let (object, tensor) = decode_entry(payload, max_ann)?;
+    Ok((object, tensor.size()))
+}
+
+/// The object id a frame payload starts with, unchecked: enough to
+/// choose between [`decode_entry`] and [`skim_entry`], which both check
+/// it.
+pub(crate) fn entry_object(payload: &[u8]) -> Option<usize> {
+    let id = payload.get(..4)?;
+    Some(u32::from_le_bytes([id[0], id[1], id[2], id[3]]) as usize)
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,9 @@ pub mod synth;
 pub mod verify;
 
 pub use builder::{agg_from_name, StoreBuilder, StoreSummary, ANNS_FILE, LOG_FILE, MANIFEST_FILE};
-pub use codec::{decode_annstore, decode_entry, encode_annstore, encode_entry, entry_to_json};
+pub use codec::{
+    decode_annstore, decode_entry, encode_annstore, encode_entry, entry_to_json, skim_entry,
+};
 pub use fp::{render_fp, shard_of, SHARDS};
 pub use pagecache::{CacheStats, PageCache, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_BYTES};
 pub use reader::{read_info, Fold, ScanOutcome, SegInfo, SegmentStore, StoreInfo};

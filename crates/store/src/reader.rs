@@ -8,6 +8,12 @@
 //! ceiling. Every scan loop polls its [`BudgetSession`] — deadlines,
 //! step budgets, and cancel flags all interrupt a scan between page
 //! loads, and the partial fold is returned as the anytime best-so-far.
+//!
+//! Every frame read goes one way: the log's fingerprint is located
+//! through a bucket directory over the sorted index, and the frame is
+//! copied from its pages into one reused buffer, where its length and
+//! checksum are checked. A fold then decodes the payload if it keeps the
+//! frame's object and skims it otherwise.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -22,7 +28,7 @@ use prox_robust::{fault, BudgetSession, BudgetStop, ProxError};
 use crate::builder::{
     agg_from_name, ANNS_FILE, FORMAT, LOG_ENTRY_BYTES, LOG_FILE, LOG_MAGIC, MANIFEST_FILE,
 };
-use crate::codec::{decode_annstore, decode_entry};
+use crate::codec::{decode_annstore, decode_entry, entry_object, skim_entry};
 use crate::pagecache::{CacheStats, PageCache, PageKey, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_BYTES};
 use crate::segment::{parse_footer, parse_index_region, segment_file, FOOTER_BYTES, SEG_MAGIC};
 
@@ -176,6 +182,120 @@ struct FrameLoc {
     len: u32,
 }
 
+/// Marks a frame the fold has not read yet: no object id reaches it,
+/// because ids are below the annotation count, itself a `u32` field.
+const ABSENT: u32 = u32::MAX;
+
+/// Every segment's index entries sorted by fingerprint, which is
+/// unique, so a frame's position here identifies it within a fold; and
+/// a directory of fingerprint buckets over them.
+///
+/// The entries are held as parallel vectors, 21 bytes a frame rather
+/// than the 24 of a padded [`FrameLoc`]. That saving pays for the
+/// directory, and a lookup's binary search reads fingerprints only.
+///
+/// Bucket `k` holds the fingerprints whose top `64 - shift` bits equal
+/// `k`, at positions `starts[k]..starts[k + 1]`. With about
+/// [`FRAMES_PER_BUCKET`] frames per bucket, a lookup binary-searches a
+/// handful of entries rather than the whole index. Skewed fingerprints
+/// only lengthen some buckets; when one bucket holds every frame, the
+/// lookup is the plain binary search.
+struct FrameIndex {
+    fps: Vec<u64>,
+    shards: Vec<u8>,
+    offsets: Vec<u64>,
+    lens: Vec<u32>,
+    shift: u32,
+    starts: Vec<u32>,
+}
+
+/// Frames per fingerprint bucket the directory aims at: one `u32` per
+/// bucket then costs about one byte per frame.
+const FRAMES_PER_BUCKET: usize = 4;
+
+impl FrameIndex {
+    /// Sort the frames by fingerprint, reject a fingerprint indexed
+    /// twice, and build the bucket directory.
+    fn new(mut frames: Vec<FrameLoc>) -> Result<FrameIndex, ProxError> {
+        frames.sort_unstable_by_key(|loc| (loc.fp, loc.shard));
+        if let Some(pair) = frames.windows(2).find(|pair| pair[0].fp == pair[1].fp) {
+            return Err(ProxError::corrupt(
+                "segment index",
+                format!(
+                    "{}: duplicate fingerprint {:016x}",
+                    segment_file(pair[1].shard),
+                    pair[1].fp
+                ),
+            ));
+        }
+        if u32::try_from(frames.len()).is_err() {
+            return Err(ProxError::unsupported(format!(
+                "{} frames: index positions are u32",
+                frames.len()
+            )));
+        }
+        let buckets = (frames.len() / FRAMES_PER_BUCKET).next_power_of_two();
+        Ok(FrameIndex::with_bits(&frames, buckets.trailing_zeros()))
+    }
+
+    /// The index of frames already sorted, unique, and counted by a
+    /// `u32`, with `2^bits` buckets.
+    fn with_bits(frames: &[FrameLoc], bits: u32) -> FrameIndex {
+        let mut index = FrameIndex {
+            fps: frames.iter().map(|loc| loc.fp).collect(),
+            shards: frames.iter().map(|loc| loc.shard).collect(),
+            offsets: frames.iter().map(|loc| loc.offset).collect(),
+            lens: frames.iter().map(|loc| loc.len).collect(),
+            shift: 64 - bits,
+            starts: vec![0; (1 << bits) + 1],
+        };
+        for &fp in &index.fps {
+            let k = index.bucket(fp);
+            index.starts[k] += 1;
+        }
+        // Counts to starts: each bucket starts where the ones before end.
+        let mut total = 0;
+        for start in &mut index.starts {
+            total += std::mem::replace(start, total);
+        }
+        index
+    }
+
+    fn bucket(&self, fp: u64) -> usize {
+        // A shift of 64 means one bucket.
+        fp.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    fn len(&self) -> usize {
+        self.fps.len()
+    }
+
+    fn get(&self, pos: usize) -> FrameLoc {
+        FrameLoc {
+            fp: self.fps[pos],
+            shard: self.shards[pos],
+            offset: self.offsets[pos],
+            len: self.lens[pos],
+        }
+    }
+
+    /// The position of a fingerprint the log references.
+    fn locate(&self, fp: u64) -> Result<usize, ProxError> {
+        let k = self.bucket(fp);
+        let start = self.starts[k] as usize;
+        let end = self.starts[k + 1] as usize;
+        self.fps[start..end]
+            .binary_search(&fp)
+            .map(|i| start + i)
+            .map_err(|_| {
+                ProxError::corrupt(
+                    "segment read",
+                    format!("log references unknown fingerprint {fp:016x}"),
+                )
+            })
+    }
+}
+
 /// An open store: manifest + annotation table + offset indexes in
 /// memory, frame data paged in on demand.
 pub struct SegmentStore {
@@ -183,11 +303,11 @@ pub struct SegmentStore {
     info: StoreInfo,
     anns: AnnStore,
     files: BTreeMap<u8, File>,
-    /// Every segment's index entries, sorted by fingerprint, which is
-    /// unique: a frame's position here identifies it within a fold.
-    index: Vec<FrameLoc>,
+    index: FrameIndex,
     cache: PageCache,
     bytes_read: u64,
+    /// The frame last read, reused by every read.
+    frame: Vec<u8>,
 }
 
 impl SegmentStore {
@@ -231,17 +351,7 @@ impl SegmentStore {
             bytes_read += read;
             files.insert(seg.shard, file);
         }
-        index.sort_unstable_by_key(|loc| (loc.fp, loc.shard));
-        if let Some(pair) = index.windows(2).find(|pair| pair[0].fp == pair[1].fp) {
-            return Err(ProxError::corrupt(
-                "segment index",
-                format!(
-                    "{}: duplicate fingerprint {:016x}",
-                    segment_file(pair[1].shard),
-                    pair[1].fp
-                ),
-            ));
-        }
+        let index = FrameIndex::new(index)?;
         if index.len() as u64 != info.unique {
             return Err(ProxError::corrupt(
                 "store manifest",
@@ -260,6 +370,7 @@ impl SegmentStore {
             index,
             cache: PageCache::new(page_bytes, cache_bytes),
             bytes_read,
+            frame: Vec::new(),
         })
     }
 
@@ -310,10 +421,15 @@ impl SegmentStore {
         Ok(buf)
     }
 
-    /// Assemble `len` bytes starting at `offset` in `shard`, going
+    /// Append `len` bytes starting at `offset` in `shard` to `out`, going
     /// through the page cache.
-    fn read_range(&mut self, shard: u8, offset: u64, len: usize) -> Result<Vec<u8>, ProxError> {
-        let mut out = Vec::with_capacity(len);
+    fn read_range(
+        &mut self,
+        shard: u8,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ProxError> {
         let page_bytes = self.cache.page_bytes() as u64;
         let mut pos = offset;
         let end = offset + len as u64;
@@ -355,61 +471,54 @@ impl SegmentStore {
             }
             pos += take as u64;
         }
-        Ok(out)
-    }
-
-    /// The index position of a fingerprint the log references.
-    fn locate(&self, fp: u64) -> Result<usize, ProxError> {
-        self.index
-            .binary_search_by_key(&fp, |loc| loc.fp)
-            .map_err(|_| {
-                ProxError::corrupt(
-                    "segment read",
-                    format!("log references unknown fingerprint {fp:016x}"),
-                )
-            })
+        Ok(())
     }
 
     /// Fetch and checksum-verify one frame payload by content address.
     pub fn read_frame(&mut self, fp: u64) -> Result<Vec<u8>, ProxError> {
-        let pos = self.locate(fp)?;
-        self.read_frame_at(pos)
+        let pos = self.index.locate(fp)?;
+        Ok(self.read_frame_at(pos)?.to_vec())
     }
 
-    /// [`SegmentStore::read_frame`] for the frame at index position `pos`.
-    fn read_frame_at(&mut self, pos: usize) -> Result<Vec<u8>, ProxError> {
+    /// Read the frame at index position `pos` into the reused frame
+    /// buffer, check its length and checksum there, and return its
+    /// payload.
+    fn read_frame_at(&mut self, pos: usize) -> Result<&[u8], ProxError> {
         let FrameLoc {
             fp,
             shard,
             offset,
             len,
-        } = self.index[pos];
-        let frame = self.read_range(shard, offset, 4 + len as usize + 8)?;
+        } = self.index.get(pos);
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        let read = self.read_range(shard, offset, 4 + len as usize + 8, &mut frame);
+        self.frame = frame;
+        read?;
         let corrupt = |detail: String| {
             ProxError::corrupt(
                 "segment frame",
                 format!("{} frame {fp:016x}: {detail}", segment_file(shard)),
             )
         };
-        if frame.len() != 4 + len as usize + 8 {
-            return Err(corrupt(format!("short read ({} bytes)", frame.len())));
+        if self.frame.len() != 4 + len as usize + 8 {
+            return Err(corrupt(format!("short read ({} bytes)", self.frame.len())));
         }
-        let mut c = [0u8; 4];
-        c.copy_from_slice(&frame[..4]);
-        let declared = u32::from_le_bytes(c);
+        let (header, rest) = self.frame.split_at_mut(4);
+        let declared = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
         if declared != len {
             return Err(corrupt(format!(
                 "index says {len} bytes, frame header says {declared}"
             )));
         }
-        let mut payload = frame[4..4 + len as usize].to_vec();
+        let (payload, sum) = rest.split_at_mut(len as usize);
         // Fault-injection hook: `PROX_FAULT=corrupt` flips bits here and
         // must surface as a typed checksum error, never a panic.
-        fault::corrupt_bytes(&mut payload);
+        fault::corrupt_bytes(payload);
         let mut a = [0u8; 8];
-        a.copy_from_slice(&frame[4 + len as usize..]);
+        a.copy_from_slice(sum);
         let want = u64::from_le_bytes(a);
-        let got = fnv64(&payload);
+        let got = fnv64(payload);
         if got != want {
             return Err(corrupt(format!(
                 "payload checksum mismatch (stored {want:016x}, computed {got:016x})"
@@ -418,17 +527,12 @@ impl SegmentStore {
         Ok(payload)
     }
 
-    /// Decode one entry by content address.
+    /// Decode one entry by content address. The object id it returns is
+    /// below `anns().len()`.
     pub fn read_entry(&mut self, fp: u64) -> Result<(AnnId, Tensor), ProxError> {
-        let pos = self.locate(fp)?;
-        self.read_entry_at(pos)
-    }
-
-    /// [`SegmentStore::read_entry`] for the frame at index position `pos`.
-    /// The object id it returns is below `anns().len()`.
-    fn read_entry_at(&mut self, pos: usize) -> Result<(AnnId, Tensor), ProxError> {
-        let payload = self.read_frame_at(pos)?;
-        decode_entry(&payload, self.anns.len())
+        let pos = self.index.locate(fp)?;
+        let max_ann = self.anns.len();
+        decode_entry(self.read_frame_at(pos)?, max_ann)
     }
 
     fn open_log(&self) -> Result<(File, u64), ProxError> {
@@ -468,10 +572,11 @@ impl SegmentStore {
     }
 
     /// Walk the logical log, handing `f` each run-length record's
-    /// `(fingerprint, count)`. Polls the budget session once per record —
-    /// i.e. before any page load `f` makes — and returns the partial
-    /// outcome when the budget trips (anytime contract). The record
-    /// stream's running checksum is verified when the walk completes.
+    /// `(fingerprint, count)`. Polls the budget session once per record,
+    /// as one step, before any page load `f` makes, and returns the
+    /// partial outcome when the budget trips (anytime contract). The
+    /// record stream's running checksum is verified when the walk
+    /// completes.
     fn walk_log(
         &mut self,
         session: &mut BudgetSession,
@@ -483,11 +588,7 @@ impl SegmentStore {
         let mut checksum = FNV_OFFSET;
         let mut rec = [0u8; LOG_ENTRY_BYTES];
         for _ in 0..records {
-            let stopped = match session.check() {
-                Err(stop) => Some(stop),
-                Ok(()) => session.note_step().err(),
-            };
-            if let Some(stop) = stopped {
+            if let Err(stop) = session.note_step() {
                 outcome.stopped = Some(stop);
                 return Ok(outcome);
             }
@@ -539,48 +640,62 @@ impl SegmentStore {
     /// works on.
     ///
     /// The reads do not depend on `objects`: every log record is read,
-    /// and every fingerprint's frame is fetched and decoded the first
+    /// and every fingerprint's frame is fetched and checked the first
     /// time it appears, never again. A repeat only adds its count to the
     /// frame's multiplicity, which is folded into the aggregation value
-    /// at the end. What stays in memory is one entry per fingerprint
-    /// and per object id seen, plus the selected objects' tensors. The
-    /// returned tallies
-    /// cover every frame read, selected or not. A budget trip keeps the
-    /// anytime contract: the selection and tallies are those of the
-    /// partial fold.
+    /// at the end. Only a frame whose object the selection keeps is
+    /// decoded; every other one is skimmed for its object and size,
+    /// under the same checks, without allocating. What stays in memory is
+    /// one entry per fingerprint and per object id seen, plus the
+    /// selected objects' tensors. The returned tallies cover every frame
+    /// read, selected or not. A budget trip keeps the anytime contract:
+    /// the selection and tallies are those of the partial fold.
     pub fn fold(&mut self, session: &mut BudgetSession, objects: usize) -> Result<Fold, ProxError> {
-        // Per index position: the object of a frame this fold has read.
-        let mut seen: Vec<Option<AnnId>> = vec![None; self.index.len()];
+        // Per index position: the object id of a frame this fold has read,
+        // or ABSENT.
+        let mut seen = vec![ABSENT; self.index.len()];
+        let max_ann = self.anns.len();
         // Per object id: whether any frame read so far belongs to it.
-        let mut object_seen = vec![false; self.anns.len()];
+        let mut object_seen = vec![false; max_ann];
         let mut object_count = 0;
         let mut size = 0;
         // object → fingerprint → (tensor, multiplicity), for the (at most)
         // `objects` smallest object ids seen so far.
         let mut kept: BTreeMap<AnnId, BTreeMap<u64, (Tensor, u64)>> = BTreeMap::new();
         let outcome = self.walk_log(session, &mut |store, fp, count| {
-            let pos = store.locate(fp)?;
-            if let Some(object) = seen[pos] {
+            let pos = store.index.locate(fp)?;
+            if seen[pos] != ABSENT {
+                let object = AnnId::from_index(seen[pos] as usize);
                 let frame = kept.get_mut(&object).and_then(|frames| frames.get_mut(&fp));
                 if let Some((_, n)) = frame {
                     *n += count;
                 }
                 return Ok(());
             }
-            let (object, tensor) = store.read_entry_at(pos)?;
-            seen[pos] = Some(object);
+            let payload = store.read_frame_at(pos)?;
+            // An object evicted below never returns: the ids seen only
+            // grow, so the `objects` smallest only get smaller.
+            let keeps = |object: usize| {
+                kept.len() < objects
+                    || kept
+                        .last_key_value()
+                        .is_some_and(|(last, _)| object <= last.index())
+            };
+            let (object, frame_size, tensor) = if entry_object(payload).is_some_and(keeps) {
+                let (object, tensor) = decode_entry(payload, max_ann)?;
+                (object, tensor.size(), Some(tensor))
+            } else {
+                let (object, frame_size) = skim_entry(payload, max_ann)?;
+                (object, frame_size, None)
+            };
+            // Below `max_ann`, itself a u32 count, so never ABSENT.
+            seen[pos] = object.index() as u32;
             if !object_seen[object.index()] {
                 object_seen[object.index()] = true;
                 object_count += 1;
             }
-            size += tensor.size();
-            // An object evicted here never returns: the ids seen only
-            // grow, so the `objects` smallest only get smaller.
-            if kept.len() < objects
-                || kept
-                    .last_key_value()
-                    .is_some_and(|(&last, _)| object <= last)
-            {
+            size += frame_size;
+            if let Some(tensor) = tensor {
                 kept.entry(object).or_default().insert(fp, (tensor, count));
                 if kept.len() > objects {
                     kept.pop_last();
@@ -734,4 +849,117 @@ fn load_segment_index(
             }),
     );
     Ok(read)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fp::shard_of;
+    use prox_robust::{DetRng, ErrorKind};
+
+    /// Index entries for `fps`, sorted and unique, as `open_with` reads
+    /// them from the segments.
+    fn frames(fps: impl IntoIterator<Item = u64>) -> Vec<FrameLoc> {
+        let mut fps: Vec<u64> = fps.into_iter().collect();
+        fps.sort_unstable();
+        fps.dedup();
+        fps.into_iter()
+            .enumerate()
+            .map(|(i, fp)| FrameLoc {
+                fp,
+                shard: shard_of(fp),
+                offset: 8 + 64 * i as u64,
+                len: 40 + i as u32 % 7,
+            })
+            .collect()
+    }
+
+    /// The directory finds every indexed fingerprint at its position,
+    /// and answers each probe as the plain binary search over all
+    /// fingerprints does: the same position, or the typed error for a
+    /// fingerprint the index does not hold.
+    fn check_against_binary_search(frames: &[FrameLoc], index: &FrameIndex, label: &str) {
+        assert_eq!(index.len(), frames.len(), "{label}");
+        let mut probes = vec![0, 1, u64::MAX, u64::MAX - 1];
+        for (pos, loc) in frames.iter().enumerate() {
+            let got = index.locate(loc.fp).map(|p| index.get(p));
+            let got = got.unwrap_or_else(|e| panic!("{label}: {:016x}: {e}", loc.fp));
+            assert_eq!(
+                (got.fp, got.shard, got.offset, got.len),
+                (loc.fp, loc.shard, loc.offset, loc.len),
+                "{label}: position {pos}"
+            );
+            probes.extend([loc.fp.wrapping_sub(1), loc.fp.wrapping_add(1)]);
+        }
+        for k in 0..index.starts.len() as u64 {
+            let first = k.checked_shl(index.shift).unwrap_or(0);
+            probes.extend([first, first.wrapping_sub(1)]);
+        }
+        let mut rng = DetRng::new(0x57_d1);
+        probes.extend((0..256).map(|_| rng.next_u64()));
+        for fp in probes {
+            match (
+                frames.binary_search_by_key(&fp, |loc| loc.fp),
+                index.locate(fp),
+            ) {
+                (Ok(want), Ok(got)) => assert_eq!(got, want, "{label}: {fp:016x}"),
+                (Err(_), Err(e)) => {
+                    assert_eq!(e.kind(), ErrorKind::Input, "{label}: {e}");
+                    assert!(e.to_string().contains("unknown fingerprint"), "{e}");
+                }
+                (want, got) => panic!("{label}: {fp:016x}: search {want:?}, directory {got:?}"),
+            }
+        }
+    }
+
+    fn index(frames: &[FrameLoc]) -> FrameIndex {
+        FrameIndex::new(frames.to_vec()).unwrap_or_else(|e| panic!("index: {e}"))
+    }
+
+    #[test]
+    fn directory_agrees_with_binary_search_on_random_fingerprints() {
+        let mut rng = DetRng::new(0x57_b0c4);
+        for n in [2, 3, 4, 5, 8, 9, 63, 64, 65, 1000, 4099] {
+            let frames = frames((0..n).map(|_| rng.next_u64()));
+            check_against_binary_search(&frames, &index(&frames), &format!("{n} random"));
+        }
+    }
+
+    #[test]
+    fn directory_survives_every_fingerprint_in_one_bucket() {
+        let low = frames(0..500);
+        let high = frames((0..500).map(|i| u64::MAX - 3 * i));
+        for (label, frames) in [("lowest bucket", low), ("highest bucket", high)] {
+            let index = index(&frames);
+            assert!(index.starts.len() > 2, "{label}: several buckets");
+            check_against_binary_search(&frames, &index, label);
+            for bits in [0, 1, 12] {
+                let forced = FrameIndex::with_bits(&frames, bits);
+                check_against_binary_search(&frames, &forced, &format!("{label}, {bits} bits"));
+            }
+        }
+    }
+
+    #[test]
+    fn directory_handles_empty_and_single_frame_indexes() {
+        let empty = frames([]);
+        check_against_binary_search(&empty, &index(&empty), "no frames");
+        for fp in [0, 0x8abc_0000_0000_0001, u64::MAX] {
+            let one = frames([fp]);
+            check_against_binary_search(&one, &index(&one), &format!("one frame {fp:016x}"));
+        }
+    }
+
+    #[test]
+    fn directory_costs_about_a_byte_per_frame() {
+        let mut rng = DetRng::new(0x57_512e);
+        let frames = frames((0..49_994).map(|_| rng.next_u64()));
+        let index = index(&frames);
+        assert_eq!(
+            index.starts.len(),
+            (1 << 14) + 1,
+            "four frames a bucket or fewer"
+        );
+        check_against_binary_search(&frames, &index, "store-rw shape");
+    }
 }

@@ -6,12 +6,13 @@
 //! and the harness runs identically offline.
 //!
 //! The properties: encode→decode is the identity on canonical entries;
-//! truncated frames and checksum-damaged blobs are typed
-//! [`prox_robust::ProxError`]s — never panics; a `PROX_FAULT=corrupt`
-//! read path degrades to typed errors; same-seed synthetic builds are
-//! byte-identical on disk; and a selected fold keeps exactly the
-//! selection an oracle cuts from the full record stream, with the reads
-//! of an unselected one.
+//! the skim accepts exactly the payloads the decoder accepts and reports
+//! the decoded object and size, canonical or not; truncated frames and
+//! checksum-damaged blobs are typed [`prox_robust::ProxError`]s — never
+//! panics; a `PROX_FAULT=corrupt` read path degrades to typed errors;
+//! same-seed synthetic builds are byte-identical on disk; and a selected
+//! fold keeps exactly the selection an oracle cuts from the full record
+//! stream, with the reads of an unselected one.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -22,11 +23,11 @@ use prox_provenance::{
     AggKind, AggValue, AnnId, AnnStore, CmpOp, Guard, Monomial, Polynomial, ProvExpr, Tensor,
 };
 use prox_robust::fault::FaultGuard;
-use prox_robust::{DetRng, ErrorKind, ExecutionBudget};
-use prox_store::codec::entry_fingerprint;
+use prox_robust::{DetRng, ErrorKind, ExecutionBudget, ProxError};
+use prox_store::codec::{entry_fingerprint, Enc};
 use prox_store::{
-    build_synthetic, decode_annstore, decode_entry, encode_annstore, encode_entry, verify_store,
-    ScanOutcome, SegmentStore, StoreBuilder, SynthSpec, MANIFEST_FILE,
+    build_synthetic, decode_annstore, decode_entry, encode_annstore, encode_entry, skim_entry,
+    verify_store, ScanOutcome, SegmentStore, StoreBuilder, SynthSpec, MANIFEST_FILE,
 };
 
 /// Cases per property.
@@ -90,6 +91,25 @@ fn random_entry(rng: &mut DetRng) -> (AnnId, Tensor) {
     (object, tensor)
 }
 
+/// Check the skim against the decoder on one payload: both accept it or
+/// both reject it as an input error, and when they accept, the skim
+/// reports the decoded object and size. Returns the decoder's verdict.
+fn skim_agrees(payload: &[u8], case: &str) -> Result<(AnnId, Tensor), ProxError> {
+    let decoded = decode_entry(payload, MAX_ANN);
+    let skimmed = skim_entry(payload, MAX_ANN);
+    match (&decoded, &skimmed) {
+        (Ok((object, tensor)), Ok(skim)) => {
+            assert_eq!(*skim, (*object, tensor.size()), "{case}: skim = decode");
+        }
+        (Err(d), Err(s)) => {
+            assert_eq!(d.kind(), ErrorKind::Input, "{case}: decode error {d}");
+            assert_eq!(s.kind(), ErrorKind::Input, "{case}: skim error {s}");
+        }
+        (d, s) => panic!("{case}: decode {d:?} but skim {s:?}"),
+    }
+    decoded
+}
+
 /// A unique scratch dir under the system temp dir.
 fn scratch(tag: &str) -> io::Result<PathBuf> {
     let dir = std::env::temp_dir().join(format!("prox-store-prop-{tag}-{}", std::process::id()));
@@ -107,8 +127,8 @@ fn entry_encode_decode_roundtrip() {
     for case in 0..CASES {
         let (object, tensor) = random_entry(&mut rng);
         let payload = encode_entry(object, &tensor);
-        let (object2, tensor2) =
-            decode_entry(&payload, MAX_ANN).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let (object2, tensor2) = skim_agrees(&payload, &format!("case {case}"))
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(object, object2, "case {case}: object survives");
         assert_eq!(tensor, tensor2, "case {case}: tensor survives");
         assert_eq!(
@@ -116,6 +136,11 @@ fn entry_encode_decode_roundtrip() {
             fnv64(&payload),
             "case {case}: the content address is the FNV of the frame bytes"
         );
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        let err = skim_agrees(&trailing, &format!("case {case} + 1 byte"))
+            .expect_err("a trailing byte never decodes");
+        assert!(err.to_string().contains("trailing"), "case {case}: {err}");
     }
 }
 
@@ -129,13 +154,8 @@ fn truncated_frames_are_typed_errors() {
         let (object, tensor) = random_entry(&mut rng);
         let payload = encode_entry(object, &tensor);
         for len in 0..payload.len() {
-            let err =
-                decode_entry(&payload[..len], MAX_ANN).expect_err("a strict prefix never decodes");
-            assert_eq!(
-                err.kind(),
-                ErrorKind::Input,
-                "case {case} prefix {len}: truncation is an input error: {err}"
-            );
+            skim_agrees(&payload[..len], &format!("case {case} prefix {len}"))
+                .expect_err("a strict prefix never decodes");
         }
     }
 }
@@ -154,16 +174,139 @@ fn bitflipped_frames_never_panic() {
             for bit in 0..8 {
                 let mut damaged = payload.clone();
                 damaged[byte] ^= 1 << bit;
-                match decode_entry(&damaged, MAX_ANN) {
-                    Ok(_) => {} // flipped a value bit; the frame checksum layer catches these
-                    Err(e) => assert_eq!(
-                        e.kind(),
-                        ErrorKind::Input,
-                        "byte {byte} bit {bit}: corruption is an input error: {e}"
-                    ),
-                }
+                // Ok when the flip landed in a value; the frame checksum
+                // layer catches those.
+                let _ = skim_agrees(&damaged, &format!("byte {byte} bit {bit}"));
             }
         }
+    }
+}
+
+/// A polynomial's terms as `(factor ids, coefficient)`, to be written as
+/// given, without the normalization `encode_entry` relies on.
+type RawPoly<'a> = &'a [(&'a [u32], u64)];
+
+fn put_raw_poly(enc: &mut Enc, terms: RawPoly<'_>) {
+    enc.put_u32(terms.len() as u32);
+    for &(factors, coeff) in terms {
+        enc.put_u32(factors.len() as u32);
+        for &a in factors {
+            enc.put_u32(a);
+        }
+        enc.put_u64(coeff);
+    }
+}
+
+/// A payload for object `object` with provenance `prov` and one guard
+/// whose lhs is `lhs` (no guard when `lhs` is `None`) and op tag `op`.
+fn raw_entry(object: u32, prov: RawPoly<'_>, lhs: Option<RawPoly<'_>>, op: u8) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.put_u32(object);
+    put_raw_poly(&mut enc, prov);
+    match lhs {
+        Some(lhs) => {
+            enc.put_u32(1);
+            enc.put_u32(1);
+            put_raw_poly(&mut enc, lhs);
+            enc.put_f64(2.5);
+            enc.put_u8(op);
+            enc.put_f64(1.0);
+        }
+        None => enc.put_u32(0),
+    }
+    enc.put_f64(4.0);
+    enc.put_u64(1);
+    enc.into_bytes()
+}
+
+/// Payloads no encoder writes, but which decode: repeated, unsorted, or
+/// zero-coefficient monomials and unsorted factors, in the provenance and
+/// in a guard. The decoder normalizes them, which can shrink the size;
+/// the skim must report the size the decoder does.
+#[test]
+fn skim_matches_decode_on_non_canonical_payloads() {
+    let canonical: RawPoly = &[(&[1, 2], 1), (&[3], 2)];
+    let cases: [(&str, RawPoly); 7] = [
+        ("repeated monomial", &[(&[1, 2], 1), (&[1, 2], 3)]),
+        ("unsorted monomials", &[(&[3], 2), (&[1, 2], 1)]),
+        ("unsorted factors", &[(&[2, 1], 1), (&[3], 2)]),
+        ("repeat up to factor order", &[(&[1, 2], 1), (&[2, 1], 1)]),
+        ("zero coefficient", &[(&[1, 2], 0), (&[3], 2)]),
+        ("all zero", &[(&[4, 5, 6], 0)]),
+        ("empty monomial twice", &[(&[], 1), (&[], 1), (&[7], 1)]),
+    ];
+    for (name, terms) in cases {
+        for (place, payload) in [
+            ("prov", raw_entry(3, terms, None, 0)),
+            ("guard", raw_entry(3, canonical, Some(terms), 1)),
+        ] {
+            let case = format!("{name} in {place}");
+            let (object, tensor) = skim_agrees(&payload, &case)
+                .unwrap_or_else(|e| panic!("{case}: a non-canonical payload decodes: {e}"));
+            assert_eq!(object.index(), 3, "{case}");
+            assert!(
+                tensor.size() <= 6,
+                "{case}: normalizing never grows a polynomial"
+            );
+        }
+    }
+
+    // Random raw polynomials: factor order, repeats, and zero
+    // coefficients drawn freely.
+    let mut rng = DetRng::new(0x57_c0de);
+    for case in 0..CASES {
+        let factor_lists: Vec<Vec<u32>> = (0..rng.below(5))
+            .map(|_| (0..rng.below(3)).map(|_| rng.below(4) as u32).collect())
+            .collect();
+        let terms: Vec<(&[u32], u64)> = factor_lists
+            .iter()
+            .map(|f| (f.as_slice(), rng.next_u64() % 3))
+            .collect();
+        let guarded = rng.below(2) == 0;
+        let payload = if guarded {
+            raw_entry(rng.below(MAX_ANN) as u32, canonical, Some(&terms), 5)
+        } else {
+            raw_entry(rng.below(MAX_ANN) as u32, &terms, None, 0)
+        };
+        skim_agrees(&payload, &format!("random case {case}"))
+            .unwrap_or_else(|e| panic!("random case {case}: {e}"));
+    }
+}
+
+/// Hand-made malformed payloads that no bit flip of a small frame
+/// reaches reliably: both paths reject each one with a typed input error
+/// naming the fault.
+#[test]
+fn skim_and_decode_reject_malformed_payloads() {
+    let ok: RawPoly = &[(&[1, 2], 1)];
+    let far = MAX_ANN as u32;
+    let out_of_range: RawPoly = &[(&[1, far], 1)];
+    let mut huge_count = raw_entry(0, ok, None, 0);
+    huge_count[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+    let cases = [
+        (
+            "object id out of range",
+            raw_entry(far, ok, None, 0),
+            "out of range",
+        ),
+        (
+            "factor id out of range",
+            raw_entry(0, out_of_range, None, 0),
+            "out of range",
+        ),
+        (
+            "guard factor id out of range",
+            raw_entry(0, ok, Some(out_of_range), 0),
+            "out of range",
+        ),
+        ("unknown op tag", raw_entry(0, ok, Some(ok), 6), "op tag"),
+        ("count past the payload", huge_count, "exceeds"),
+    ];
+    for (name, payload, needle) in cases {
+        let err = skim_agrees(&payload, name).expect_err("a malformed payload never decodes");
+        assert!(err.to_string().contains(needle), "{name}: {err}");
+        let skim = skim_entry(&payload, MAX_ANN).expect_err("the skim rejects it too");
+        assert!(skim.to_string().contains(needle), "{name}: {skim}");
     }
 }
 
