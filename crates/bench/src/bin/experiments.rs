@@ -43,7 +43,6 @@ const USAGE: &str = "experiments -- <exp> [--quick]
   score-mode-ml      Ablation A.2 (rank vs normalized score)
   sampler-accuracy   Ablation A.3 (Prop 4.1.2 empirically)
   greedy-gap         Ablation A.4 (greedy vs exhaustive optimum)
-  serve              prox-serve load: latency percentiles + cache hit rate
   chaos              chaos soak: faults + overload against the serve stack
   store              out-of-core segment store: build, verify, fold, summarize
   all                everything above";
@@ -209,14 +208,9 @@ fn run_experiment(name: &str, scale: Scale, manifest: &mut RunManifest) -> bool 
         "greedy-gap" => {
             ok(emit(&prox_bench::experiments::greedy_gap_experiment(scale)));
         }
-        "serve" => {
+        "chaos" => {
             // A failure to even start/drive the server is an experiment
             // failure: panic so the runner's retry/skip machinery records it.
-            if let Err(e) = prox_bench::serve_load::serve_load_experiment(scale, manifest) {
-                panic!("serve load experiment failed: {e}");
-            }
-        }
-        "chaos" => {
             if let Err(e) = prox_bench::chaos::chaos_experiment(scale, manifest) {
                 panic!("chaos soak failed: {e}");
             }
@@ -249,7 +243,6 @@ const ALL: &[&str] = &[
     "score-mode-ml",
     "sampler-accuracy",
     "greedy-gap",
-    "serve",
     "chaos",
     "store",
 ];

@@ -7,8 +7,8 @@
 //! arrival-driven state machine, and the per-tenant token buckets (virtual
 //! clock under `PROX_DETERMINISTIC`) all advance in an order that is a
 //! pure function of the schedule. Two same-seed runs produce byte-stable
-//! `reports/manifest_chaos.json` files; `prox bench diff` gates the result
-//! against the committed baseline.
+//! `reports/manifest_chaos.json` files, so `prox bench diff` gates the
+//! result against the committed baseline exactly: any moved tally fails.
 //!
 //! The report answers the overload questions directly: shed rate (429 +
 //! 503 finals over offered), whether every shed carried `Retry-After`
@@ -28,7 +28,6 @@ use prox_serve::ratelimit::tenant_denials;
 use prox_serve::{Server, ServerConfig};
 
 use crate::manifest::RunManifest;
-use crate::serve_load::percentile_us;
 use crate::Scale;
 
 /// The canonical storm: 5ms read stalls, 8% connection drops, 30%
@@ -82,6 +81,16 @@ struct StormTally {
     retries: u64,
     missing_retry_after: u64,
     latencies_ns: Vec<u64>,
+}
+
+/// `sorted` must be ascending; `q` in [0, 1]. Nearest-rank on the last
+/// index for an empty-safe percentile.
+fn percentile_us(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let ix = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[ix.min(sorted.len() - 1)] / 1_000
 }
 
 fn counter_delta(name: &str, before: u64) -> u64 {
@@ -327,6 +336,17 @@ fn chaos_storm(
 mod tests {
     use super::*;
     use prox_robust::FaultGuard;
+
+    #[test]
+    fn percentiles_are_empty_safe_and_monotone() {
+        assert_eq!(percentile_us(&[], 0.5), 0);
+        let sorted: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
+        let p50 = percentile_us(&sorted, 0.50);
+        let p99 = percentile_us(&sorted, 0.99);
+        assert!(p50 <= p99);
+        assert_eq!(p99, 99, "nearest rank of 0.99 over 100 samples");
+        assert_eq!(percentile_us(&sorted, 1.0), 100);
+    }
 
     #[test]
     fn quick_chaos_soak_recovers_and_sheds_politely() {

@@ -1,239 +1,35 @@
 //! The manifest regression gate: `prox bench diff <baseline> <current>`.
 //!
-//! Compares two `reports/manifest_*.json` files metric by metric and
-//! classifies every numeric leaf as *within band*, an *improvement*, or a
-//! *regression* under per-metric tolerances, so the bench trajectory can
-//! accumulate run-over-run and CI can refuse perf regressions.
+//! Compares two deterministic `reports/manifest_*.json` files leaf by
+//! leaf. Under `PROX_DETERMINISTIC` a manifest is a pure function of the
+//! code and the seeds, so the comparison is exact: every number, string
+//! and bool must be equal, and a leaf present on one side only is a
+//! difference (manifests omit zero counters, so nothing reads as 0).
+//! Timing verdicts come from the benchmark's spread-aware `compare`.
 //!
-//! ## Comparability
+//! Two manifests are only comparable when `experiment`, `config`,
+//! `scale`, and `datasets` match exactly and neither carries
+//! `wall_time_ms`, which marks a run written without
+//! `PROX_DETERMINISTIC`. Anything else is an input error, not a
+//! difference.
 //!
-//! Two manifests are only comparable when they describe the same
-//! experiment: `experiment`, `config`, `scale`, and `datasets` (names and
-//! generator seeds) must match exactly. A mismatch is an input error (the
-//! runs measured different things), not a regression.
-//!
-//! ## Tolerances
-//!
-//! Each metric path (dotted, e.g. `phases.summarize/step.total_ns`) maps
-//! to a [`Tolerance`]: an allowed band of `max(rel · |baseline|, abs)`
-//! plus a [`Direction`]. Schedule-determined quantities (counters, phase
-//! counts, stop reasons) default to **exact** — under `PROX_DETERMINISTIC`
-//! two same-seed runs must agree bit for bit, so any drift is a real
-//! behavior change. Measured quantities (durations, allocation deltas,
-//! memory, latency quantiles) get wide relative bands and a direction, so
-//! noise passes, a genuine slowdown fails, and a speedup is reported as
-//! an improvement rather than flagged.
-//!
-//! The report is emitted as `reports/regression.json` with sorted keys
-//! and sorted metric lists — on identical inputs the file is byte-stable
-//! (rule L2).
+//! The report (`reports/regression.json`) has sorted keys and lists the
+//! differences by path, so on identical inputs it is byte-stable (rule L2).
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use prox_obs::Json;
 
-/// Which way is "better" for a metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Time, bytes, allocation counts: smaller is an improvement.
-    LowerIsBetter,
-    /// Throughput, cache hit rate: larger is an improvement.
-    HigherIsBetter,
-    /// Schedule-determined quantities: any out-of-band drift is a
-    /// regression, whichever way it moves.
-    Neutral,
-}
-
-/// The allowed deviation for one metric: `max(rel · |baseline|, abs)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Tolerance {
-    /// Relative band as a fraction of the baseline value.
-    pub rel: f64,
-    /// Absolute band floor (covers near-zero baselines).
-    pub abs: f64,
-    /// Which direction of drift counts as an improvement.
-    pub direction: Direction,
-}
-
-impl Tolerance {
-    const fn exact() -> Tolerance {
-        Tolerance {
-            rel: 0.0,
-            abs: 0.0,
-            direction: Direction::Neutral,
-        }
-    }
-}
-
-/// The tolerance for a dotted metric path. First matching rule wins;
-/// everything unmatched is exact (see module docs).
-pub fn tolerance_for(path: &str) -> Tolerance {
-    let lower = Tolerance {
-        rel: 0.5,
-        abs: 1_000_000.0,
-        direction: Direction::LowerIsBetter,
-    };
-    // Process-level memory: ±25% with a 1 MiB floor (allocator behavior
-    // shifts with layout, but a leak or a blown ceiling must fail).
-    if path.starts_with("memory.") {
-        return Tolerance {
-            rel: 0.25,
-            abs: (1u64 << 20) as f64,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    // Per-phase allocation deltas: same shape, smaller floor.
-    if path.ends_with(".alloc_bytes") || path.ends_with(".allocs") {
-        return Tolerance {
-            rel: 0.25,
-            abs: 65_536.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    // Wall-clock phase statistics: ±50% with a 1 ms floor — timing noise
-    // on shared runners is large; only a gross slowdown should gate.
-    if path.ends_with(".total_ns")
-        || path.ends_with(".mean_ns")
-        || path.ends_with(".min_ns")
-        || path.ends_with(".max_ns")
-    {
-        return lower;
-    }
-    if path == "wall_time_ms" {
-        return Tolerance {
-            rel: 0.5,
-            abs: 500.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    // Chaos soak: the politeness invariants are exact — every shed must
-    // carry Retry-After, and the final health probe must be 200 — while
-    // the storm tallies (sheds, retries, breaker trips, per-tenant 429s)
-    // get a narrow neutral band. Under PROX_DETERMINISTIC they replay
-    // bit-for-bit, but a wall-clock soak shifts a few requests across the
-    // shed/admit boundary with scheduler timing.
-    if path == "chaos.shed.missing_retry_after" || path == "chaos.final_healthz.status" {
-        return Tolerance::exact();
-    }
-    if path == "chaos.shed.rate" {
-        return Tolerance {
-            rel: 0.15,
-            abs: 0.1,
-            direction: Direction::Neutral,
-        };
-    }
-    if path == "chaos.wall_seconds" {
-        return Tolerance {
-            rel: 0.5,
-            abs: 5.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    if path.starts_with("chaos.responses.")
-        || path.starts_with("chaos.breaker.")
-        || path.starts_with("chaos.tenants_429.")
-        || path.starts_with("chaos.shed.")
-        || path == "chaos.workers_recovered.panics"
-        || path == "chaos.final_healthz.attempts"
-    {
-        return Tolerance {
-            rel: 0.15,
-            abs: 3.0,
-            direction: Direction::Neutral,
-        };
-    }
-    // Out-of-core store (the `store` experiment): dedup ratios, frame and
-    // record counts, fold sizes, and the `store/*` dedup/page counters are
-    // schedule-determined — they replay bit-for-bit from the seed, so they
-    // stay exact (the default below). Byte volumes and wall-clock timings
-    // get bands: retuning the page size or read batching legitimately
-    // shifts how many bytes a fold touches without changing its result.
-    if path.starts_with("store.timing_ms.") {
-        return Tolerance {
-            rel: 0.5,
-            abs: 500.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    if path == "store.reader.bytes_read"
-        || path == "store.verify.bytes_checked"
-        || path == "store.reader.page_cache.peak_bytes"
-        || path == "store.reader.page_cache.live_bytes"
-        || path == "counters.store/bytes_read"
-    {
-        return Tolerance {
-            rel: 0.25,
-            abs: 65_536.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    // Serve latency percentiles (the `serve` experiment's extra section).
-    if path.contains("p50") || path.contains("p95") || path.contains("p99") {
-        return Tolerance {
-            rel: 0.5,
-            abs: 1_000.0,
-            direction: Direction::LowerIsBetter,
-        };
-    }
-    if path.contains("throughput") || path.contains("hit_rate") {
-        return Tolerance {
-            rel: 0.25,
-            abs: 0.05,
-            direction: Direction::HigherIsBetter,
-        };
-    }
-    // Real-socket serve counters can shift a little with thread timing
-    // even at fixed seeds; give them a narrow neutral band.
-    if path.starts_with("counters.serve/")
-        || path.starts_with("phases.service.")
-        || path.starts_with("phases.serve/request.")
-    {
-        return Tolerance {
-            rel: 0.1,
-            abs: 2.0,
-            direction: Direction::Neutral,
-        };
-    }
-    // Everything else — counters, phase counts, stop reasons, quality
-    // metrics — is schedule-determined: exact or it regressed.
-    Tolerance::exact()
-}
-
-/// Verdict for one metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Inside the tolerance band.
-    Within,
-    /// Outside the band, in the better direction.
-    Improvement,
-    /// Outside the band, in the worse (or any, for neutral) direction.
-    Regression,
-}
-
-impl Verdict {
-    /// Stable lowercase name used in `regression.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Verdict::Within => "within",
-            Verdict::Improvement => "improvement",
-            Verdict::Regression => "regression",
-        }
-    }
-}
-
-/// One compared metric.
-#[derive(Clone, Debug)]
-pub struct MetricDiff {
+/// One leaf that is not equal in both manifests.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Difference {
     /// Dotted path, e.g. `counters.distance/evaluations`.
     pub path: String,
-    /// Value in the baseline manifest (0 when absent there).
-    pub baseline: f64,
-    /// Value in the current manifest (0 when absent there).
-    pub current: f64,
-    /// The band that applied: `max(rel · |baseline|, abs)`.
-    pub band: f64,
-    /// The classification.
-    pub verdict: Verdict,
+    /// The leaf in the baseline manifest, `None` when absent there.
+    pub baseline: Option<Json>,
+    /// The leaf in the current manifest, `None` when absent there.
+    pub current: Option<Json>,
 }
 
 /// The full comparison of two manifests.
@@ -241,52 +37,40 @@ pub struct MetricDiff {
 pub struct DiffReport {
     /// Experiment id both manifests describe.
     pub experiment: String,
-    /// Number of numeric leaves compared (union of both manifests).
+    /// Number of leaves compared (union of both manifests).
     pub checked: usize,
-    /// Metrics that moved outside their band, by verdict.
-    pub regressions: Vec<MetricDiff>,
-    /// Out-of-band improvements (reported, never gating).
-    pub improvements: Vec<MetricDiff>,
+    /// Every leaf that differs, sorted by path.
+    pub differences: Vec<Difference>,
 }
 
 impl DiffReport {
-    /// Did any metric regress?
+    /// Did any leaf differ?
     pub fn regressed(&self) -> bool {
-        !self.regressions.is_empty()
+        !self.differences.is_empty()
     }
 
-    /// The report as JSON (the `reports/regression.json` schema). Metric
-    /// lists are sorted by path and keys are sorted at render time, so
-    /// identical inputs produce byte-identical files.
+    /// The report as JSON (the `reports/regression.json` schema). A side
+    /// on which a leaf is absent has no key in its difference entry.
     pub fn to_json(&self) -> Json {
-        fn metrics_json(metrics: &[MetricDiff]) -> Json {
-            let mut sorted: Vec<&MetricDiff> = metrics.iter().collect();
-            sorted.sort_by(|a, b| a.path.cmp(&b.path));
-            Json::Arr(
-                sorted
-                    .into_iter()
-                    .map(|m| {
-                        Json::obj()
-                            .with("path", m.path.as_str())
-                            .with("baseline", m.baseline)
-                            .with("current", m.current)
-                            .with("band", m.band)
-                            .with("verdict", m.verdict.name())
-                    })
-                    .collect(),
-            )
-        }
+        let differences = self.differences.iter().map(|d| {
+            let mut entry = Json::obj().with("path", d.path.as_str());
+            for (side, leaf) in [("baseline", &d.baseline), ("current", &d.current)] {
+                if let Some(leaf) = leaf {
+                    entry.set(side, leaf.clone());
+                }
+            }
+            entry
+        });
         Json::obj()
             .with("experiment", self.experiment.as_str())
             .with("checked", self.checked)
             .with("status", if self.regressed() { "regressed" } else { "ok" })
-            .with("regressions", metrics_json(&self.regressions))
-            .with("improvements", metrics_json(&self.improvements))
+            .with("differences", Json::Arr(differences.collect()))
     }
 }
 
 /// Why two manifests could not be compared (input error, CLI exit 2 —
-/// distinct from a regression, exit 1).
+/// distinct from a difference, exit 1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffError(pub String);
 
@@ -298,157 +82,89 @@ impl fmt::Display for DiffError {
 
 impl std::error::Error for DiffError {}
 
-/// Sections that define *what ran* rather than *how it performed*; they
-/// must match exactly and are excluded from metric flattening.
+/// Sections that define *what ran* rather than what it did; they must
+/// match for the manifests to be comparable and are not flattened.
 const STRUCTURAL: &[&str] = &["experiment", "config", "scale", "datasets"];
 
-/// Metadata that is neither structural nor a performance metric.
-const IGNORED: &[&str] = &["attempts", "timeout_ms", "status", "memory.allocator"];
+/// Both manifests' leaves by dotted path: `[baseline, current]`.
+type Leaves = BTreeMap<String, [Option<Json>; 2]>;
 
-fn numeric(j: &Json) -> Option<f64> {
-    match *j {
-        Json::UInt(n) => Some(n as f64),
-        Json::Int(n) => Some(n as f64),
-        Json::Float(f) if f.is_finite() => Some(f),
-        _ => None,
-    }
-}
-
-/// Flatten every numeric leaf of `j` into `out` as `prefix.path -> value`.
-/// Arrays index as `.0`, `.1`, ... Structural sections are skipped at the
-/// top level by the caller.
-fn flatten(prefix: &str, j: &Json, out: &mut Vec<(String, f64)>) {
+/// Record every leaf of `j` as side `side` of `leaves`. Arrays index as
+/// `.0`, `.1`, ...
+fn flatten(path: String, j: &Json, side: usize, leaves: &mut Leaves) {
     match j {
         Json::Obj(entries) => {
             for (k, v) in entries {
-                let path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                flatten(&path, v, out);
+                flatten(format!("{path}.{k}"), v, side, leaves);
             }
         }
         Json::Arr(items) => {
             for (ix, v) in items.iter().enumerate() {
-                flatten(&format!("{prefix}.{ix}"), v, out);
+                flatten(format!("{path}.{ix}"), v, side, leaves);
             }
         }
-        leaf => {
-            if let Some(v) = numeric(leaf) {
-                out.push((prefix.to_owned(), v));
-            }
-        }
+        leaf => leaves.entry(path).or_default()[side] = Some(leaf.clone()),
     }
 }
 
-fn metric_paths(manifest: &Json) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Some(entries) = manifest.entries() {
-        for (k, v) in entries {
-            if STRUCTURAL.contains(&k.as_str()) {
-                continue;
-            }
-            flatten(k, v, &mut out);
+/// Check that two manifests can be compared exactly; returns the
+/// experiment id they share.
+fn check_comparable<'a>(baseline: &'a Json, current: &Json) -> Result<&'a str, DiffError> {
+    for (side, manifest) in [("baseline", baseline), ("current", current)] {
+        if manifest.get("wall_time_ms").is_some() {
+            return Err(DiffError(format!(
+                "{side} carries wall_time_ms, so it is a timed run; rerun with \
+                 PROX_DETERMINISTIC=1 for an exact comparison, and compare timings \
+                 with the benchmark's `compare`"
+            )));
         }
     }
-    out.retain(|(path, _)| !IGNORED.contains(&path.as_str()));
-    out
-}
-
-fn structural_mismatch(baseline: &Json, current: &Json) -> Option<String> {
     for key in STRUCTURAL {
         let b = baseline.get(key).map(|j| j.sorted().render());
         let c = current.get(key).map(|j| j.sorted().render());
         if b != c {
-            return Some(format!(
+            return Err(DiffError(format!(
                 "{key} differs: baseline {} vs current {}",
                 b.unwrap_or_else(|| "<absent>".into()),
                 c.unwrap_or_else(|| "<absent>".into()),
-            ));
+            )));
         }
     }
-    None
+    // `experiment` is structural: the current manifest's is the same.
+    baseline
+        .get("experiment")
+        .and_then(Json::as_str)
+        .ok_or_else(|| DiffError("no `experiment` field".into()))
 }
 
-/// Classify one metric against its tolerance.
-pub fn classify(path: &str, baseline: f64, current: f64) -> MetricDiff {
-    let tol = tolerance_for(path);
-    let band = (tol.rel * baseline.abs()).max(tol.abs);
-    let delta = current - baseline;
-    let verdict = if delta.abs() <= band {
-        Verdict::Within
-    } else {
-        match tol.direction {
-            Direction::Neutral => Verdict::Regression,
-            Direction::LowerIsBetter if delta < 0.0 => Verdict::Improvement,
-            Direction::LowerIsBetter => Verdict::Regression,
-            Direction::HigherIsBetter if delta > 0.0 => Verdict::Improvement,
-            Direction::HigherIsBetter => Verdict::Regression,
-        }
-    };
-    MetricDiff {
-        path: path.to_owned(),
-        baseline,
-        current,
-        band,
-        verdict,
-    }
-}
-
-/// Compare two parsed manifests. Returns an error when they are not
-/// comparable (different experiment/config/scale/datasets).
+/// Compare two parsed manifests exactly. Returns an error when they are
+/// not comparable (different experiment/config/scale/datasets, or a timed
+/// manifest).
 pub fn diff_manifests(baseline: &Json, current: &Json) -> Result<DiffReport, DiffError> {
-    let experiment = baseline
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DiffError("baseline has no `experiment` field".into()))?;
-    current
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DiffError("current has no `experiment` field".into()))?;
-    if let Some(why) = structural_mismatch(baseline, current) {
-        return Err(DiffError(why));
-    }
-
-    // Union of both manifests' metric paths; a metric absent on one side
-    // reads as 0 there (a counter that never fired was never registered).
-    let base_metrics = metric_paths(baseline);
-    let cur_metrics = metric_paths(current);
-    let mut paths: Vec<&str> = base_metrics
-        .iter()
-        .chain(cur_metrics.iter())
-        .map(|(p, _)| p.as_str())
-        .collect();
-    paths.sort_unstable();
-    paths.dedup();
-
-    let lookup = |metrics: &[(String, f64)], path: &str| -> f64 {
-        metrics
-            .iter()
-            .find(|(p, _)| p == path)
-            .map_or(0.0, |(_, v)| *v)
-    };
-
-    let mut report = DiffReport {
-        experiment: experiment.to_owned(),
-        checked: paths.len(),
-        regressions: Vec::new(),
-        improvements: Vec::new(),
-    };
-    for path in paths {
-        let m = classify(
-            path,
-            lookup(&base_metrics, path),
-            lookup(&cur_metrics, path),
-        );
-        match m.verdict {
-            Verdict::Within => {}
-            Verdict::Improvement => report.improvements.push(m),
-            Verdict::Regression => report.regressions.push(m),
+    let experiment = check_comparable(baseline, current)?.to_owned();
+    let mut leaves = Leaves::new();
+    for (side, manifest) in [baseline, current].into_iter().enumerate() {
+        for (k, v) in manifest.entries().unwrap_or_default() {
+            if !STRUCTURAL.contains(&k.as_str()) {
+                flatten(k.clone(), v, side, &mut leaves);
+            }
         }
     }
-    Ok(report)
+    let checked = leaves.len();
+    let differences = leaves
+        .into_iter()
+        .filter(|(_, [b, c])| b != c)
+        .map(|(path, [baseline, current])| Difference {
+            path,
+            baseline,
+            current,
+        })
+        .collect();
+    Ok(DiffReport {
+        experiment,
+        checked,
+        differences,
+    })
 }
 
 /// Read and parse a manifest file.
@@ -460,7 +176,7 @@ pub fn load_manifest(path: &str) -> Result<Json, DiffError> {
 
 /// Run the whole gate: load both manifests, diff them, write the report
 /// to `out_path`, and print a human summary to stderr. Returns the
-/// process exit code: 0 ok, 1 regression, 2 input error.
+/// process exit code: 0 equal, 1 differs, 2 input error.
 pub fn run_diff(baseline_path: &str, current_path: &str, out_path: &str) -> i32 {
     let loaded = load_manifest(baseline_path).and_then(|b| {
         let c = load_manifest(current_path)?;
@@ -482,29 +198,21 @@ pub fn run_diff(baseline_path: &str, current_path: &str, out_path: &str) -> i32 
         return 2;
     }
     eprintln!(
-        "prox bench diff: {} — {} metrics checked, {} regression(s), {} improvement(s) -> {out_path}",
+        "prox bench diff: {} — {} leaves checked, {} difference(s) -> {out_path}",
         report.experiment,
         report.checked,
-        report.regressions.len(),
-        report.improvements.len(),
+        report.differences.len(),
     );
-    for m in &report.regressions {
+    let text = |leaf: &Option<Json>| leaf.as_ref().map_or("<absent>".into(), Json::render);
+    for d in &report.differences {
         eprintln!(
-            "  REGRESSION {}: baseline {} -> current {} (band ±{})",
-            m.path, m.baseline, m.current, m.band
+            "  DIFFERS {}: baseline {} -> current {}",
+            d.path,
+            text(&d.baseline),
+            text(&d.current)
         );
     }
-    for m in &report.improvements {
-        eprintln!(
-            "  improvement {}: baseline {} -> current {} (band ±{})",
-            m.path, m.baseline, m.current, m.band
-        );
-    }
-    if report.regressed() {
-        1
-    } else {
-        0
-    }
+    i32::from(report.regressed())
 }
 
 #[cfg(test)]
@@ -512,19 +220,10 @@ mod tests {
     use super::*;
 
     /// A minimal synthetic manifest with the structural sections fixed.
-    fn manifest(counters: &[(&str, u64)], phases: &[(&str, u64, u64)]) -> Json {
+    fn manifest(counters: &[(&str, u64)]) -> Json {
         let mut c = Json::obj();
         for (name, v) in counters {
             c.set(name, *v);
-        }
-        let mut p = Json::obj();
-        for (name, count, total_ns) in phases {
-            p.set(
-                name,
-                Json::obj()
-                    .with("count", *count)
-                    .with("total_ns", *total_ns),
-            );
         }
         Json::obj()
             .with("experiment", "t")
@@ -535,22 +234,24 @@ mod tests {
                 Json::Arr(vec![Json::obj().with("name", "ml").with("seed", 1000u64)]),
             )
             .with("counters", c)
-            .with("phases", p)
             .with(
-                "memory",
-                Json::obj()
-                    .with("allocator", "counting")
-                    .with("peak_bytes", 10u64 << 20),
+                "phases",
+                Json::obj().with("summarize", Json::obj().with("count", 8u64)),
             )
+            .with("memory", Json::obj().with("allocator", "counting"))
+            .with("status", "completed")
+    }
+
+    fn paths(r: &DiffReport) -> Vec<&str> {
+        r.differences.iter().map(|d| d.path.as_str()).collect()
     }
 
     #[test]
     fn identical_manifests_pass_with_empty_lists() {
-        let m = manifest(&[("core/steps", 40)], &[("summarize", 8, 1_000_000)]);
+        let m = manifest(&[("core/steps", 40)]);
         let r = diff_manifests(&m, &m).expect("comparable");
-        assert!(!r.regressed());
-        assert!(r.regressions.is_empty() && r.improvements.is_empty());
-        assert!(r.checked >= 4, "counters+phases+memory flattened: {r:?}");
+        assert!(!r.regressed() && r.differences.is_empty(), "{r:?}");
+        assert_eq!(r.checked, 4, "counter, phase count, allocator, status");
         // Byte-stability: same inputs, same report bytes.
         assert_eq!(
             r.to_json().sorted().pretty(),
@@ -560,229 +261,80 @@ mod tests {
 
     #[test]
     fn exact_counter_drift_is_a_regression_either_direction() {
-        let base = manifest(&[("core/steps", 40)], &[]);
+        let base = manifest(&[("core/steps", 40)]);
         for drifted in [39u64, 41] {
-            let cur = manifest(&[("core/steps", drifted)], &[]);
-            let r = diff_manifests(&base, &cur).expect("comparable");
-            assert_eq!(r.regressions.len(), 1, "{drifted}: {r:?}");
-            assert_eq!(r.regressions[0].path, "counters.core/steps");
-            assert!(r.improvements.is_empty());
+            let r = diff_manifests(&base, &manifest(&[("core/steps", drifted)])).unwrap();
+            let expected = Difference {
+                path: "counters.core/steps".into(),
+                baseline: Some(Json::UInt(40)),
+                current: Some(Json::UInt(drifted)),
+            };
+            assert_eq!(r.differences, [expected]);
         }
     }
 
     #[test]
-    fn timing_within_band_passes_faster_improves_slower_regresses() {
-        let base = manifest(&[], &[("summarize", 8, 100_000_000)]);
-        // +40% < 50% band: within.
-        let within = manifest(&[], &[("summarize", 8, 140_000_000)]);
-        assert!(!diff_manifests(&base, &within).unwrap().regressed());
-        // +60% > band: regression, naming the metric.
-        let slow = manifest(&[], &[("summarize", 8, 160_000_000)]);
-        let r = diff_manifests(&base, &slow).unwrap();
-        assert!(r.regressed());
-        assert_eq!(r.regressions[0].path, "phases.summarize.total_ns");
-        // -60%: out of band in the good direction — improvement, exit 0.
-        let fast = manifest(&[], &[("summarize", 8, 40_000_000)]);
-        let r = diff_manifests(&base, &fast).unwrap();
-        assert!(!r.regressed());
-        assert_eq!(r.improvements.len(), 1);
-        assert_eq!(r.improvements[0].verdict, Verdict::Improvement);
+    fn a_leaf_on_one_side_only_is_a_difference() {
+        // A counter that only fired in the current run, as a fault raising
+        // run/stop/budget_exhausted from unregistered to N does.
+        let base = manifest(&[]);
+        let cur = manifest(&[("run/stop/budget_exhausted", 5)]);
+        let r = diff_manifests(&base, &cur).unwrap();
+        let entry = Json::obj()
+            .with("path", "counters.run/stop/budget_exhausted")
+            .with("current", 5u64);
+        assert_eq!(
+            r.to_json().get("differences"),
+            Some(&Json::Arr(vec![entry]))
+        );
+        let r = diff_manifests(&cur, &base).unwrap();
+        assert_eq!(
+            (&r.differences[0].baseline, &r.differences[0].current),
+            (&Some(Json::UInt(5)), &None)
+        );
     }
 
     #[test]
-    fn absent_metric_reads_as_zero() {
-        // A counter that only fired in the current run (e.g. a fault
-        // inflating run/stop/budget_exhausted from unregistered to N).
-        let base = manifest(&[], &[]);
-        let cur = manifest(&[("run/stop/budget_exhausted", 5)], &[]);
-        let r = diff_manifests(&base, &cur).expect("comparable");
-        assert!(r.regressed());
-        assert_eq!(r.regressions[0].path, "counters.run/stop/budget_exhausted");
-        assert_eq!(r.regressions[0].baseline, 0.0);
-        assert_eq!(r.regressions[0].current, 5.0);
-    }
-
-    #[test]
-    fn memory_band_has_absolute_floor_and_direction() {
-        let base = manifest(&[], &[]);
-        // +25% of 10 MiB is 2.5 MiB > 1 MiB floor; +3 MiB regresses.
-        let mut grown = manifest(&[], &[]);
-        grown.set(
-            "memory",
-            Json::obj()
-                .with("allocator", "counting")
-                .with("peak_bytes", 13u64 << 20),
-        );
-        let r = diff_manifests(&base, &grown).unwrap();
-        assert!(r.regressed(), "{r:?}");
-        assert_eq!(r.regressions[0].path, "memory.peak_bytes");
-        // Shrinking the same amount is an improvement.
-        let mut shrunk = manifest(&[], &[]);
-        shrunk.set(
-            "memory",
-            Json::obj()
-                .with("allocator", "counting")
-                .with("peak_bytes", 7u64 << 20),
-        );
-        let r = diff_manifests(&base, &shrunk).unwrap();
-        assert!(!r.regressed());
-        assert_eq!(r.improvements.len(), 1);
-    }
-
-    #[test]
-    fn allocator_tag_and_outcome_metadata_do_not_gate() {
-        let base = manifest(&[], &[]);
-        let mut cur = manifest(&[], &[]);
-        cur.set(
-            "memory",
-            Json::obj()
-                .with("allocator", "system")
-                .with("peak_bytes", 10u64 << 20),
-        );
+    fn strings_bools_and_outcome_metadata_are_compared_too() {
+        let mut cur = manifest(&[]);
+        cur.set("memory", Json::obj().with("allocator", "system"));
         cur.set("attempts", 2u64).set("status", "degraded");
-        let r = diff_manifests(&base, &cur).expect("comparable");
-        assert!(!r.regressed(), "{r:?}");
+        cur.set("store", Json::obj().with("stopped", true));
+        let r = diff_manifests(&manifest(&[]), &cur).unwrap();
+        assert_eq!(
+            paths(&r),
+            ["attempts", "memory.allocator", "status", "store.stopped"]
+        );
+        // A float that moves in its last bit differs.
+        let (mut a, mut b) = (manifest(&[]), manifest(&[]));
+        a.set("rate", 0.5);
+        b.set("rate", 0.5 + f64::EPSILON);
+        assert_eq!(paths(&diff_manifests(&a, &b).unwrap()), ["rate"]);
     }
 
     #[test]
     fn structural_mismatch_is_an_input_error_not_a_regression() {
-        let base = manifest(&[], &[]);
-        let mut other = manifest(&[], &[]);
+        let base = manifest(&[]);
+        let mut other = manifest(&[]);
         other.set("config", Json::obj().with("w_dist", 0.9));
         let err = diff_manifests(&base, &other).unwrap_err();
         assert!(err.to_string().contains("config"), "{err}");
-        let mut renamed = manifest(&[], &[]);
+        let mut renamed = manifest(&[]);
         renamed.set("experiment", "other");
         assert!(diff_manifests(&base, &renamed).is_err());
     }
 
     #[test]
-    fn serve_counters_get_a_narrow_neutral_band() {
-        let t = tolerance_for("counters.serve/cache_hit");
-        assert_eq!(t.direction, Direction::Neutral);
-        assert!(t.abs >= 1.0);
-        // Band edges: baseline 100, rel 0.1 -> band 10.
-        assert_eq!(
-            classify("counters.serve/cache_hit", 100.0, 110.0).verdict,
-            Verdict::Within
-        );
-        assert_eq!(
-            classify("counters.serve/cache_hit", 100.0, 111.0).verdict,
-            Verdict::Regression
-        );
-        assert_eq!(
-            classify("counters.serve/cache_hit", 100.0, 89.0).verdict,
-            Verdict::Regression
-        );
-        // The service and request spans share that band; their timings
-        // keep the wall-clock band, and the core phases stay exact.
-        for path in ["phases.service.count", "phases.serve/request.count"] {
-            assert_eq!(tolerance_for(path).direction, Direction::Neutral, "{path}");
+    fn timed_manifest_is_an_input_error() {
+        let base = manifest(&[]);
+        let mut timed = manifest(&[]);
+        timed.set("wall_time_ms", 1234u64);
+        for (b, c) in [(&base, &timed), (&timed, &base), (&timed, &timed)] {
+            let err = diff_manifests(b, c).unwrap_err().to_string();
+            assert!(
+                err.contains("PROX_DETERMINISTIC=1") && err.contains("compare"),
+                "{err}"
+            );
         }
-        assert_eq!(
-            tolerance_for("phases.serve/request.total_ns").direction,
-            Direction::LowerIsBetter
-        );
-        assert_eq!(
-            tolerance_for("phases.summarize/step.count"),
-            Tolerance::exact()
-        );
-    }
-
-    #[test]
-    fn chaos_politeness_is_exact_but_storm_tallies_get_a_band() {
-        // A shed without Retry-After is a regression however small.
-        assert_eq!(
-            tolerance_for("chaos.shed.missing_retry_after"),
-            Tolerance::exact()
-        );
-        assert_eq!(
-            classify("chaos.shed.missing_retry_after", 0.0, 1.0).verdict,
-            Verdict::Regression
-        );
-        // The final health probe must stay 200 exactly.
-        assert_eq!(
-            classify("chaos.final_healthz.status", 200.0, 503.0).verdict,
-            Verdict::Regression
-        );
-        // Storm tallies tolerate small scheduler-driven drift either way,
-        // but a collapse in sheds (e.g. the limiter stopped limiting) gates.
-        assert_eq!(
-            classify("chaos.responses.rate_limited_429", 20.0, 22.0).verdict,
-            Verdict::Within
-        );
-        assert_eq!(
-            classify("chaos.responses.rate_limited_429", 20.0, 0.0).verdict,
-            Verdict::Regression
-        );
-        assert_eq!(
-            classify("chaos.shed.rate", 0.4, 0.45).verdict,
-            Verdict::Within
-        );
-        assert_eq!(
-            classify("chaos.shed.rate", 0.4, 0.9).verdict,
-            Verdict::Regression
-        );
-    }
-
-    #[test]
-    fn store_dedup_is_exact_but_bytes_and_timing_get_bands() {
-        // Dedup and frame counts are functions of the seed: any drift is
-        // a real behavior change.
-        assert_eq!(tolerance_for("store.build.dedup_ratio"), Tolerance::exact());
-        assert_eq!(tolerance_for("store.build.unique"), Tolerance::exact());
-        assert_eq!(tolerance_for("store.fold.logical_seen"), Tolerance::exact());
-        assert_eq!(
-            tolerance_for("counters.store/dedup_hit"),
-            Tolerance::exact()
-        );
-        assert_eq!(
-            classify("store.build.dedup_ratio", 83.3, 83.4).verdict,
-            Verdict::Regression
-        );
-        // Byte volumes tolerate page-size retuning; more bytes regresses,
-        // fewer improves.
-        assert_eq!(
-            classify("store.reader.bytes_read", 1_000_000.0, 1_100_000.0).verdict,
-            Verdict::Within
-        );
-        assert_eq!(
-            classify("store.reader.bytes_read", 1_000_000.0, 1_600_000.0).verdict,
-            Verdict::Regression
-        );
-        assert_eq!(
-            classify("store.reader.bytes_read", 1_000_000.0, 400_000.0).verdict,
-            Verdict::Improvement
-        );
-        // Wall-clock build/fold timings get the wide timing band.
-        assert_eq!(
-            classify("store.timing_ms.fold", 1_000.0, 1_400.0).verdict,
-            Verdict::Within
-        );
-        assert_eq!(
-            classify("store.timing_ms.fold", 1_000.0, 2_000.0).verdict,
-            Verdict::Regression
-        );
-        // The cache hit rate rides the generic higher-is-better rule.
-        assert_eq!(
-            tolerance_for("store.reader.page_cache.hit_rate").direction,
-            Direction::HigherIsBetter
-        );
-    }
-
-    #[test]
-    fn higher_is_better_metrics_regress_downward() {
-        assert_eq!(
-            classify("serve.throughput_rps", 100.0, 60.0).verdict,
-            Verdict::Regression
-        );
-        assert_eq!(
-            classify("serve.throughput_rps", 100.0, 140.0).verdict,
-            Verdict::Improvement
-        );
-        assert_eq!(
-            classify("serve.p99_us", 1.0, 90_000.0).verdict,
-            Verdict::Regression
-        );
     }
 }

@@ -14,7 +14,6 @@
 //! | 6.6–6.7 | Wikipedia sweeps | same functions over [`workload::wikipedia`] |
 //! | 6.8–6.9 | DDP sweeps | same functions over [`workload::ddp`] |
 //! | Table 5.1 | dataset matrix | [`experiments::table51`] |
-//! | — | service-layer load (latency/cache) | [`serve_load::serve_load_experiment`] |
 //! | — | chaos soak (faults + overload) | [`chaos::chaos_experiment`] |
 //! | A.1–A.3 | k-way, score-mode, sampler ablations | [`experiments`] |
 //!
@@ -31,7 +30,6 @@ pub mod manifest;
 pub mod report;
 pub mod runner;
 pub mod series;
-pub mod serve_load;
 pub mod store_bench;
 pub mod workload;
 

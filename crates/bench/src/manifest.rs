@@ -75,7 +75,7 @@ impl RunManifest {
     }
 
     /// Attach an experiment-specific top-level section under `key`
-    /// (e.g. the `serve` load report). Use keys that don't collide with
+    /// (e.g. the `chaos` soak report). Use keys that don't collide with
     /// the builder's own sections (`counters`, `phases`, ...).
     pub fn extra(&mut self, key: &str, value: Json) {
         self.extra.push((key.to_owned(), value));

@@ -226,16 +226,16 @@ fn l8_barrier_stops_taint_propagation() {
 
 // --- det-coverage parity with the retired hand-maintained list -------------
 
-/// The 23 files the deleted `det_files` config enumerated by hand. The
-/// computed set must still cover every one of them that has hash-order
-/// sites to flag — proof the taint pass lost no coverage.
+/// The files the deleted `det_files` config enumerated by hand, less the
+/// ones since deleted from the tree. The computed set must still cover
+/// every one of them that has hash-order sites to flag — proof the taint
+/// pass lost no coverage.
 const OLD_DET_FILES: &[&str] = &[
     "crates/bench/src/report.rs",
     "crates/bench/src/manifest.rs",
     "crates/bench/src/series.rs",
     "crates/bench/src/experiments.rs",
     "crates/bench/src/runner.rs",
-    "crates/bench/src/serve_load.rs",
     "crates/bench/src/chaos.rs",
     "crates/bench/src/workload.rs",
     "crates/bench/src/bin/experiments.rs",

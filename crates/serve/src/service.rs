@@ -186,19 +186,19 @@ fn slow_ms_from_env() -> u64 {
         .unwrap_or(0)
 }
 
-/// The built-in dataset catalog: `(name, generator config)`. `demo`
-/// matches the CLI's default dataset.
+/// The `demo` preset: the dataset a request without `dataset` runs on,
+/// the base an inline `dataset` object overrides, and the CLI's default.
+pub const DEMO_DATASET: MovieLensConfig = MovieLensConfig {
+    users: 40,
+    movies: 8,
+    ratings_per_user: 2,
+    seed: 2016,
+};
+
+/// The built-in dataset catalog: `(name, generator config)`.
 pub fn presets() -> Vec<(&'static str, MovieLensConfig)> {
     vec![
-        (
-            "demo",
-            MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            },
-        ),
+        ("demo", DEMO_DATASET),
         (
             "small",
             MovieLensConfig {
@@ -258,12 +258,7 @@ impl Default for Params {
     fn default() -> Self {
         let defaults = SummarizationRequest::default();
         Params {
-            dataset: MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            },
+            dataset: DEMO_DATASET,
             dataset_name: "demo".to_owned(),
             selection: Selection::All,
             w_dist: defaults.w_dist,
@@ -335,12 +330,7 @@ fn dataset_of(value: &Json) -> Result<(MovieLensConfig, String), ProxError> {
             )))
         }
     };
-    let mut cfg = MovieLensConfig {
-        users: 40,
-        movies: 8,
-        ratings_per_user: 2,
-        seed: 2016,
-    };
+    let mut cfg = DEMO_DATASET;
     for (key, v) in entries {
         match key.as_str() {
             "users" => cfg.users = usize_of(v, "dataset.users")?,
@@ -461,21 +451,25 @@ fn cancel_of(value: &Json) -> Result<Assignment, ProxError> {
     }
 }
 
+/// The fields of a request body, which must be a JSON object; an empty
+/// body has none.
+fn body_fields(body: &[u8]) -> Result<Vec<(String, Json)>, ProxError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|e| bad(format!("body is not UTF-8 at byte {}", e.valid_up_to())))?;
+    if text.trim().is_empty() {
+        return Ok(Vec::new());
+    }
+    match Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))? {
+        Json::Obj(entries) => Ok(entries),
+        other => Err(bad(format!("body must be a JSON object, got {other:?}"))),
+    }
+}
+
 /// Parse a request body into [`Params`]. An empty body means defaults;
 /// unknown fields are rejected so typos surface as `400`s.
 pub fn parse_params(body: &[u8]) -> Result<Params, ProxError> {
     let mut params = Params::default();
-    let text = std::str::from_utf8(body)
-        .map_err(|e| bad(format!("body is not UTF-8 at byte {}", e.valid_up_to())))?;
-    if text.trim().is_empty() {
-        return Ok(params);
-    }
-    let value = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
-    let entries = match &value {
-        Json::Obj(entries) => entries,
-        other => return Err(bad(format!("body must be a JSON object, got {other:?}"))),
-    };
-    for (key, v) in entries {
+    for (key, v) in &body_fields(body)? {
         match key.as_str() {
             "dataset" => {
                 let (cfg, name) = dataset_of(v)?;
@@ -538,19 +532,10 @@ pub fn canonical_key(params: &Params) -> String {
         .with("agg", params.agg.name())
         .with(
             "budget_steps",
-            match params.budget_steps {
-                Some(n) => Json::from(n),
-                None => Json::Null,
-            },
+            params.budget_steps.map_or(Json::Null, Json::from),
         )
         .sorted()
         .render()
-}
-
-/// Snake-case stop-reason names used in response bodies (and matching the
-/// bench `run/stop/*` counter suffixes).
-pub fn stop_reason_name(reason: StopReason) -> &'static str {
-    reason.name()
 }
 
 /// Whether a result may be cached: runs cut short by wall-clock or
@@ -593,7 +578,7 @@ pub fn error_response(e: &ProxError) -> Response {
 fn budget_for(
     req: &Request,
     ctx: &ServiceCtx,
-    params: &Params,
+    budget_steps: Option<usize>,
     trace: Option<&TraceContext>,
 ) -> Result<ExecutionBudget, ProxError> {
     let ms = match req.header("x-prox-budget-ms") {
@@ -605,7 +590,7 @@ fn budget_for(
     let mut budget = ExecutionBudget::unlimited()
         .with_deadline_ms(ms)
         .with_cancel(ctx.shutdown.clone());
-    if let Some(steps) = params.budget_steps {
+    if let Some(steps) = budget_steps {
         budget = budget.with_max_steps(steps);
     }
     // The trace rides the budget into the summarizer, HAC, and candidate
@@ -649,7 +634,7 @@ fn summary_json(fp: &str, params: &Params, data: &MovieLens, out: &Summarized) -
     Json::obj()
         .with("request_fingerprint", fp)
         .with("dataset", params.dataset_name.as_str())
-        .with("stop_reason", stop_reason_name(out.result.stop_reason))
+        .with("stop_reason", out.result.stop_reason.name())
         .with("initial_size", out.result.initial_size)
         .with("final_size", out.result.final_size())
         .with("final_distance", out.result.final_distance)
@@ -687,7 +672,7 @@ fn summarize_route(
     // Fault site: an armed `panic` clause unwinds from here through the
     // worker supervision boundary, which answers a typed 500.
     prox_robust::fault::maybe_panic();
-    let budget = budget_for(req, ctx, &params, trace)?;
+    let budget = budget_for(req, ctx, params.budget_steps, trace)?;
     let key = canonical_key(&params);
     if let Some(body) = lock(&ctx.cache).get(&key) {
         if let Some(t) = trace {
@@ -743,13 +728,13 @@ fn provision_route(
         .cancel
         .clone()
         .ok_or_else(|| bad("/provision requires a cancel field"))?;
-    let budget = budget_for(req, ctx, &params, trace)?;
+    let budget = budget_for(req, ctx, params.budget_steps, trace)?;
     let key = canonical_key(&params);
     let (data, out) = run_summarize(&params, budget)?;
     let (orig, summ) = evaluate_both(&out.original, &out.result.summary, &assignment, &data.store);
     let body = Json::obj()
         .with("request_fingerprint", fingerprint(&key).as_str())
-        .with("stop_reason", stop_reason_name(out.result.stop_reason))
+        .with("stop_reason", out.result.stop_reason.name())
         .with("original", rows_json(&orig))
         .with("summary", rows_json(&summ))
         .render();
@@ -783,17 +768,7 @@ impl Default for StoreParams {
 
 fn parse_store_params(body: &[u8]) -> Result<StoreParams, ProxError> {
     let mut params = StoreParams::default();
-    let text = std::str::from_utf8(body)
-        .map_err(|e| bad(format!("body is not UTF-8 at byte {}", e.valid_up_to())))?;
-    if text.trim().is_empty() {
-        return Ok(params);
-    }
-    let value = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
-    let entries = match &value {
-        Json::Obj(entries) => entries,
-        other => return Err(bad(format!("body must be a JSON object, got {other:?}"))),
-    };
-    for (key, v) in entries {
+    for (key, v) in &body_fields(body)? {
         match key.as_str() {
             "objects" => params.objects = usize_of(v, "objects")?,
             "w_dist" => params.w_dist = f64_of(v, "w_dist")?,
@@ -822,10 +797,7 @@ fn store_key(params: &StoreParams, dir: &str) -> String {
         .with("steps", params.steps)
         .with(
             "budget_steps",
-            match params.budget_steps {
-                Some(n) => Json::from(n),
-                None => Json::Null,
-            },
+            params.budget_steps.map_or(Json::Null, Json::from),
         )
         .sorted()
         .render()
@@ -845,11 +817,7 @@ fn store_summarize_route(
         return Err(bad("no segment store attached — start with --store <dir>"));
     };
     let params = parse_store_params(&req.body)?;
-    let budget_params = Params {
-        budget_steps: params.budget_steps,
-        ..Params::default()
-    };
-    let budget = budget_for(req, ctx, &budget_params, trace)?;
+    let budget = budget_for(req, ctx, params.budget_steps, trace)?;
     let key = store_key(&params, state.dir());
     if let Some(body) = lock(&ctx.cache).get(&key) {
         if let Some(t) = trace {
@@ -898,7 +866,7 @@ fn store_summarize_route(
                 .with("tensors", fold.size),
         )
         .with("selected_objects", params.objects)
-        .with("stop_reason", stop_reason_name(result.stop_reason))
+        .with("stop_reason", result.stop_reason.name())
         .with("initial_size", result.initial_size)
         .with("final_size", result.final_size())
         .with("final_distance", result.final_distance)

@@ -1,8 +1,13 @@
-//! Cache observability: hit/miss/evict counters in the prox-obs registry.
+//! Cache observability: hit/miss/evict counters in the prox-obs registry,
+//! for one client and for several clients sharing one cache.
 //!
 //! Lives in its own integration-test binary because the registry is
 //! process-global: counter-delta assertions must not race requests made
-//! by unrelated tests in the same process.
+//! by unrelated tests in the same process. For the same reason the file
+//! holds one test, run in phases.
+
+// Harness helpers outside #[test] fns still panic on broken setup.
+#![allow(clippy::expect_used)]
 
 use prox_obs::Json;
 use prox_serve::http::client_request;
@@ -10,6 +15,11 @@ use prox_serve::{Server, ServerConfig};
 
 fn counter(name: &str) -> u64 {
     prox_obs::counter_value(name).unwrap_or(0)
+}
+
+fn post(addr: &str, body: &str) -> (u16, String) {
+    client_request(addr, "POST", "/summarize", &[], body.as_bytes(), 30_000)
+        .expect("request completes")
 }
 
 #[test]
@@ -27,10 +37,7 @@ fn cache_hits_misses_and_evictions_are_counted() {
     })
     .expect("server starts");
     let addr = handle.addr().to_string();
-    let post = |body: &str| {
-        client_request(&addr, "POST", "/summarize", &[], body.as_bytes(), 30_000)
-            .expect("request completes")
-    };
+    let post = |body: &str| post(&addr, body);
 
     let (miss0, hit0, evict0) = (
         counter("serve/cache_miss"),
@@ -84,5 +91,71 @@ fn cache_hits_misses_and_evictions_are_counted() {
         body.contains("prox_counter_total{name=\"serve/cache_hit\"}"),
         "cache-hit series missing from Prometheus exposition: {body}"
     );
+    handle.shutdown();
+
+    several_clients_share_one_cache();
+}
+
+/// Concurrent clients against one cache sized to the working set: bodies
+/// are unique per client and each is sent `REPEATS` times in rounds, so
+/// round one misses, every later round hits, and nothing is evicted.
+fn several_clients_share_one_cache() {
+    const CLIENTS: usize = 2;
+    const BODIES_PER_CLIENT: usize = 2;
+    const REPEATS: usize = 3;
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        queue_capacity: 8,
+        cache_capacity: CLIENTS * BODIES_PER_CLIENT,
+        default_budget_ms: 10_000,
+        io_deadline_ms: 10_000,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+    let (miss0, hit0, evict0) = (
+        counter("serve/cache_miss"),
+        counter("serve/cache_hit"),
+        counter("serve/cache_evict"),
+    );
+
+    let client = |client: usize| {
+        let bodies: Vec<String> = (1..=BODIES_PER_CLIENT)
+            .map(|steps| {
+                format!(r#"{{"dataset": "small", "steps": {steps}, "target_size": {client}}}"#)
+            })
+            .collect();
+        let mut first = Vec::new();
+        for round in 0..REPEATS {
+            for (ix, body) in bodies.iter().enumerate() {
+                let (status, answer) = post(&addr, body);
+                assert_eq!(status, 200, "{body}: {answer}");
+                match round {
+                    0 => first.push(answer),
+                    _ => assert_eq!(answer, first[ix], "repeat of {body} must be byte-identical"),
+                }
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for id in 1..=CLIENTS {
+            scope.spawn(move || client(id));
+        }
+    });
+
+    let distinct = (CLIENTS * BODIES_PER_CLIENT) as u64;
+    let total = distinct * REPEATS as u64;
+    assert_eq!(
+        counter("serve/cache_miss") - miss0,
+        distinct,
+        "one miss per body"
+    );
+    assert_eq!(
+        counter("serve/cache_hit") - hit0,
+        total - distinct,
+        "repeats hit"
+    );
+    assert_eq!(counter("serve/cache_evict"), evict0, "the working set fits");
     handle.shutdown();
 }

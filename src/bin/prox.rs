@@ -30,9 +30,9 @@
 //! exits 2 on any corruption.
 //!
 //! Bench gate: `prox bench diff <baseline.json> <current.json>
-//! [--out <path>]` compares two run manifests under per-metric
-//! tolerances, writes `reports/regression.json`, and exits 1 on any
-//! regression (2 when the manifests are not comparable).
+//! [--out <path>]` compares two deterministic run manifests exactly,
+//! writes `reports/regression.json`, and exits 1 when any leaf differs
+//! (2 when the manifests are not comparable, or either is a timed run).
 //!
 //! Interactive commands:
 //! ```text
@@ -60,7 +60,8 @@ use std::path::Path;
 use prox_core::{
     ConstraintConfig, ExecutionBudget, MergeRule, ProxError, SummarizeConfig, Summarizer,
 };
-use prox_datasets::{MovieLens, MovieLensConfig};
+use prox_datasets::MovieLens;
+use prox_serve::service::DEMO_DATASET;
 use prox_system::evaluator::{evaluate_both, Assignment};
 use prox_system::render;
 use prox_system::selection::{select, Selected, Selection};
@@ -82,12 +83,7 @@ struct App {
 impl App {
     fn new() -> Self {
         App {
-            data: MovieLens::generate(MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            }),
+            data: MovieLens::generate(DEMO_DATASET),
             request: SummarizationRequest::default(),
             selected: None,
             session: None,
@@ -566,12 +562,7 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
             summarizer.summarize(&p0, &valuations)?
         }
         None => {
-            let mut data = MovieLens::generate(MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            });
+            let mut data = MovieLens::generate(DEMO_DATASET);
             let sel = select(&mut data, &Selection::All, request.aggregation);
             summarize(&mut data, &sel, request)?.result
         }
@@ -696,7 +687,7 @@ fn serve(args: &[String]) -> Result<(), ProxError> {
 }
 
 /// `prox bench diff <baseline> <current> [--out <path>]`: the manifest
-/// regression gate. Exits 0 (ok), 1 (regression), or 2 (input error).
+/// regression gate. Exits 0 (equal), 1 (differs), or 2 (input error).
 fn bench_diff(args: &[String]) -> i32 {
     let mut out: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
