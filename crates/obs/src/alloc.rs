@@ -215,6 +215,7 @@ mod tests {
 
     #[test]
     fn counters_observe_allocations_and_peak_dominates_live() {
+        let _serial = crate::test_lock();
         let before = stats();
         assert!(before.installed, "global allocator must be routing");
         let v: Vec<u8> = Vec::with_capacity(1 << 16);
@@ -237,6 +238,7 @@ mod tests {
 
     #[test]
     fn epoch_reset_rebases_cumulative_and_peak() {
+        let _serial = crate::test_lock();
         let _keep: Vec<u8> = Vec::with_capacity(4096);
         epoch_reset();
         let s = stats();

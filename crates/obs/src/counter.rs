@@ -82,6 +82,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_sum_correctly() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let before = CONCURRENT.get();
         let threads: Vec<_> = (0..8)

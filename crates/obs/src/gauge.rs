@@ -92,6 +92,7 @@ mod tests {
 
     #[test]
     fn set_add_and_snapshot() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         DEPTH.set(5);
         assert_eq!(DEPTH.add(-2), 3);

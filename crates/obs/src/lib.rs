@@ -115,6 +115,18 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Serialize this crate's unit tests that touch process-global state:
+/// installing or closing the trace sink, toggling the enabled flag or the
+/// profiler mode, entering a span, emitting an event, or resetting the
+/// allocation epoch. Tests share one process, so without it a span from
+/// one test lands in another's sink file, and an epoch reset re-bases the
+/// allocation totals another test is comparing.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    lock(&TEST_LOCK)
+}
+
 /// Install a JSONL trace sink at `path` (also enables collection).
 pub fn install_sink(path: &str) -> std::io::Result<()> {
     sink::install(path)

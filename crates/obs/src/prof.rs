@@ -213,10 +213,6 @@ mod tests {
     static OUTER: SpanTimer = SpanTimer::new("prof_test/outer");
     static INNER: SpanTimer = SpanTimer::new("prof_test/inner");
 
-    // MODE is process-global; serialize the tests that flip it so they
-    // don't clobber each other's sampling windows.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
     fn run_spans() {
         let _o = OUTER.start();
         for _ in 0..3 {
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn boundary_mode_is_deterministic_and_nested() {
-        let _gate = crate::lock(&TEST_GATE);
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         enable_boundary();
         run_spans();
@@ -258,7 +254,7 @@ mod tests {
 
     #[test]
     fn disabled_push_is_inert_and_pop_safe() {
-        let _gate = crate::lock(&TEST_GATE);
+        let _serial = crate::test_lock();
         disable();
         assert!(!push("prof_test/never"));
         // A guard that never pushed must not call pop(); but even a stray
@@ -269,7 +265,7 @@ mod tests {
 
     #[test]
     fn interval_mode_samples_open_spans() {
-        let _gate = crate::lock(&TEST_GATE);
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         enable_interval(Duration::from_micros(200));
         {

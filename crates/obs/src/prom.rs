@@ -294,6 +294,7 @@ mod tests {
     /// every series name is introduced by HELP+TYPE, no duplicate series.
     #[test]
     fn exposition_is_well_formed_with_no_duplicates() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         window::record_request(&window::RequestObservation {
             endpoint: "/summarize",
@@ -338,6 +339,7 @@ mod tests {
 
     #[test]
     fn deterministic_exposition_has_no_wall_clock_series() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let text = render_prometheus(true);
         assert!(!text.contains("prox_span_duration_ns_total"), "{text}");

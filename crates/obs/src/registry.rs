@@ -272,6 +272,7 @@ mod tests {
 
     #[test]
     fn snapshot_contains_registered_entries() {
+        let _serial = crate::test_lock();
         set_enabled(true);
         SNAP_COUNTER.add(7);
         SNAP_SPAN.start().finish();

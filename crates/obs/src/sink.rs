@@ -83,6 +83,7 @@ mod tests {
 
     #[test]
     fn sink_writes_one_valid_json_object_per_line() {
+        let _serial = crate::test_lock();
         let path = std::env::temp_dir().join(format!("prox-obs-sink-{}.jsonl", std::process::id()));
         let path_str = path.to_str().expect("utf8 temp path");
         install(path_str).expect("install sink");
@@ -118,6 +119,7 @@ mod tests {
     /// object (no interleaving, no torn lines).
     #[test]
     fn concurrent_emitters_never_interleave_lines() {
+        let _serial = crate::test_lock();
         const THREADS: usize = 8;
         const EVENTS: usize = 200;
         let path =

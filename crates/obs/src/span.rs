@@ -201,6 +201,7 @@ mod tests {
 
     #[test]
     fn guard_records_on_drop() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let before = SPAN.histogram().count();
         {
@@ -221,6 +222,7 @@ mod tests {
 
     #[test]
     fn traced_guard_opens_a_node_named_after_the_last_segment() {
+        let _serial = crate::test_lock();
         let trace = TraceContext::new(trace_id_from(5, 0));
         {
             let _outer = TRACED.enter(Some(&trace));

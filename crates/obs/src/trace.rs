@@ -457,6 +457,7 @@ mod tests {
 
     #[test]
     fn span_tree_nests_and_records_attrs() {
+        let _serial = crate::test_lock();
         let ctx = TraceContext::new(trace_id_from(3, 0));
         {
             let _root = REQUEST.enter(Some(&ctx));
@@ -504,6 +505,7 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops_instead_of_growing() {
+        let _serial = crate::test_lock();
         let ctx = TraceContext::new(1);
         for _ in 0..(MAX_TRACE_SPANS + 5) {
             let _s = TICK.enter(Some(&ctx));
@@ -518,6 +520,7 @@ mod tests {
 
     #[test]
     fn find_attr_sees_span_and_trace_attrs() {
+        let _serial = crate::test_lock();
         let ctx = TraceContext::new(2);
         {
             let _s = SUMMARIZE.enter(Some(&ctx));

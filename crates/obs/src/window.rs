@@ -369,6 +369,7 @@ mod tests {
 
     #[test]
     fn records_totals_and_percentiles() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         reset();
         for i in 1..=100u64 {
@@ -400,6 +401,7 @@ mod tests {
 
     #[test]
     fn deterministic_stats_omit_wall_clock_fields() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         reset();
         record_request(&obs("/d", 200, 123));
@@ -416,6 +418,7 @@ mod tests {
 
     #[test]
     fn endpoints_render_sorted() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         reset();
         record_request(&obs("/z", 200, 1));

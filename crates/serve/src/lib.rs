@@ -26,10 +26,11 @@
 //! [`prox_obs::Json`]; errors map [`prox_robust::ErrorKind`] to HTTP
 //! status codes (input → 400, budget → 408, internal → 500).
 //!
-//! Graceful shutdown: SIGTERM/SIGINT (see [`signal`]) or
-//! [`server::ServerHandle::shutdown`] stops accepting, closes the queue,
-//! drains already-admitted connections, and cancels in-flight budgets so
-//! long runs return their best-so-far summaries promptly.
+//! Graceful shutdown: [`server::ServerHandle::shutdown`] (which `prox
+//! serve` calls on SIGTERM/SIGINT, see [`signal`]) wakes the blocking
+//! accept loop, stops accepting, closes the queue, drains
+//! already-admitted connections, and cancels in-flight budgets so long
+//! runs return their best-so-far summaries promptly.
 //!
 //! Overload hardening (see [`health`], [`ratelimit`], [`breaker`]):
 //! workers run every connection under `catch_unwind`, converting panics

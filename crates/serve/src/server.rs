@@ -3,11 +3,14 @@
 //! One thread accepts; `workers` threads pull admitted connections off a
 //! bounded [`Bounded`] queue. Admission control is strict: a connection
 //! either enters the queue or is answered `503` + `Retry-After` on the
-//! spot — the server never buffers beyond `queue_capacity`. Shutdown
-//! (signal or [`ServerHandle::shutdown`]) cancels the shared
-//! [`CancelFlag`], which (a) stops the accept loop, (b) degrades in-flight
-//! summarizations to their anytime best-so-far answers, and (c) closes the
-//! queue so workers drain what was already admitted and exit.
+//! spot — the server never buffers beyond `queue_capacity`. The accept
+//! thread blocks in `accept()`, so a connection is handed on the moment
+//! it arrives. Shutdown ([`ServerHandle::shutdown`], which `prox serve`
+//! calls on SIGINT/SIGTERM) cancels the shared [`CancelFlag`] and wakes
+//! the accept thread with one loopback connection; the flag (a) stops the
+//! accept loop, (b) degrades in-flight summarizations to their anytime
+//! best-so-far answers, and (c) closes the queue so workers drain what
+//! was already admitted and exit.
 //!
 //! Worker supervision: every connection is handled under `catch_unwind`.
 //! A panicking handler (a bug, or the `panic` fault site) is converted to
@@ -17,8 +20,7 @@
 //! requests queued behind it. A second `catch_unwind` around the whole
 //! loop restarts it if a panic ever escapes the per-connection boundary.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -32,7 +34,6 @@ use crate::health::Health;
 use crate::http::{self, Response};
 use crate::queue::Bounded;
 use crate::service::{self, ServiceCtx, StoreState};
-use crate::signal;
 
 static SHED: Counter = Counter::new("serve/shed");
 static CONNECTIONS: Counter = Counter::new("serve/connections");
@@ -109,14 +110,12 @@ pub struct ServerHandle {
 
 impl Server {
     /// Bind, spawn the worker pool and the accept loop, and return a
-    /// handle. The listener is non-blocking so the accept loop can poll
-    /// the shutdown flag between connections.
+    /// handle. The accept loop blocks in `accept()` and checks the
+    /// shutdown flag after each connection; [`ServerHandle::shutdown`]
+    /// wakes it with a loopback connection of its own.
     pub fn start(config: ServerConfig) -> Result<ServerHandle, ProxError> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ProxError::io(format!("bind {}", config.addr), &e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ProxError::io("set_nonblocking", &e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| ProxError::io("local_addr", &e))?;
@@ -184,6 +183,11 @@ impl Server {
 
 /// Accept connections until shutdown, shedding with `503` when the
 /// admission queue is full, then close the queue so workers drain.
+///
+/// `accept()` blocks, so an arriving connection is admitted at once. The
+/// shutdown flag is read after every accept: the connection that finds it
+/// raised is [`ServerHandle::stop`]'s wake-up (or a client racing the
+/// drain) and is dropped unanswered, uncounted and unqueued.
 fn accept_loop(
     listener: &TcpListener,
     queue: &Bounded<TcpStream>,
@@ -192,27 +196,50 @@ fn accept_loop(
 ) {
     loop {
         // admission loop: bounded by the shutdown flag, not a budget
-        if shutdown.is_cancelled() || signal::signalled() {
-            shutdown.cancel();
+        let accepted = listener.accept();
+        if shutdown.is_cancelled() {
             // Flip health to draining *before* closing the queue: any
             // admitted-but-unserved `/healthz` probe already answers 503.
             health.begin_drain();
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 CONNECTIONS.incr();
                 if let Err(stream) = queue.try_push(stream) {
                     shed(stream);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // A real accept error (`EMFILE`, `ENFILE`, ...) would only
+            // repeat if retried at once; back off briefly.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
     queue.close();
+}
+
+/// Wake an accept thread blocked in `accept()` once the shutdown flag is
+/// raised: connect to the listener until the thread has exited. One
+/// connection normally does it; the retry covers a SYN dropped by a full
+/// listen backlog and a read of the flag that is not yet current.
+fn wake(bound: SocketAddr, accept: &JoinHandle<()>) {
+    // An unspecified bind address (`0.0.0.0`, `::`) is reached through
+    // its family's loopback address.
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let target = SocketAddr::new(ip, bound.port());
+    let budget = ExecutionBudget::unlimited();
+    let mut session = budget.start();
+    while !accept.is_finished() {
+        let _ = session.note_step();
+        // Dropped at once: the loop closes its end without answering.
+        let _ = TcpStream::connect_timeout(&target, Duration::from_millis(100));
+        // Let the accept thread see the flag and exit before knocking again.
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Answer a rejected connection immediately: `503` + `Retry-After: 1`.
@@ -311,8 +338,8 @@ impl ServerHandle {
         self.health.clone()
     }
 
-    /// Graceful stop: cancel, let the accept loop close the queue, drain
-    /// admitted connections, join every thread.
+    /// Graceful stop: cancel, wake the accept loop so it closes the
+    /// queue, drain admitted connections, join every thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -321,6 +348,7 @@ impl ServerHandle {
         self.health.begin_drain();
         self.shutdown.cancel();
         if let Some(accept) = self.accept.take() {
+            wake(self.addr, &accept);
             let _ = accept.join();
         }
         // The accept loop has closed the queue by now; workers drain what

@@ -1,8 +1,10 @@
 //! Minimal async-signal-safe shutdown flag.
 //!
 //! `SIGINT`/`SIGTERM` handlers may only touch lock-free state; the handler
-//! here does a single atomic store into a process-global flag which the
-//! server's accept loop polls. Registration goes through libc's `signal(2)`
+//! here does a single atomic store into a process-global flag. The server
+//! itself never reads it: `prox serve`'s main loop polls [`signalled`] and
+//! turns a signal into [`crate::ServerHandle::shutdown`], which wakes the
+//! blocking accept loop. Registration goes through libc's `signal(2)`
 //! directly — std already links libc, so this adds no dependency — and is
 //! a no-op on non-unix targets.
 
@@ -15,12 +17,13 @@ pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
-/// Clear the flag (tests; or restarting a server in-process).
+/// Clear the flag (tests).
 pub fn reset() {
     SIGNALLED.store(false, Ordering::SeqCst);
 }
 
-/// Trip the flag as if a signal had arrived (tests; in-process shutdown).
+/// Trip the flag as if a signal had arrived (tests). Only `prox serve`'s
+/// main loop reads it: a server started in-process keeps running.
 pub fn raise() {
     SIGNALLED.store(true, Ordering::SeqCst);
 }
