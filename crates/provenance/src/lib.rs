@@ -54,14 +54,14 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// Library code must surface failures as typed errors, not panics: corrupt
-// or truncated provenance files are expected inputs, not bugs. The
+// Library code must surface failures as typed errors, not panics: an
+// invalid input, such as an empty valuation class, is expected, not a bug.
+// (Bytes read from disk are decoded and checked by `prox-store`.) The
 // clippy::unwrap_used/expect_used warnings come from [workspace.lints];
 // tests are exempt via clippy.toml.
 
 pub mod aggexpr;
 pub mod annot;
-pub mod backend;
 pub mod classes;
 pub mod ddp;
 pub mod display;
@@ -71,20 +71,16 @@ pub mod guard;
 pub mod mapping;
 pub mod monoid;
 pub mod monomial;
-pub mod parse;
-pub mod persist;
 pub mod phi;
 pub mod polynomial;
 pub mod provexpr;
 pub mod semiring;
-pub mod stats;
 pub mod store;
 pub mod tensor;
 pub mod valuation;
 
 pub use aggexpr::AggExpr;
 pub use annot::{AnnId, AnnKind, Annotation, AttrId, AttrValueId, DomainId};
-pub use backend::{MemoryBackend, StoreBackend};
 pub use classes::ValuationClass;
 pub use ddp::{DbCondOp, DdpExecution, DdpExpr, DdpTransition};
 pub use eval::{EvalOutcome, EvalVector};
@@ -93,13 +89,10 @@ pub use guard::{CmpOp, Guard};
 pub use mapping::Mapping;
 pub use monoid::{AggKind, AggValue};
 pub use monomial::Monomial;
-pub use parse::{parse_aggexpr, parse_provexpr, ParseError};
-pub use persist::{from_json, load_workload, save_workload, to_json, SavedWorkload};
 pub use phi::{Phi, PhiMap};
 pub use polynomial::Polynomial;
 pub use provexpr::ProvExpr;
 pub use semiring::{Bool, Count, Semiring, Tropical};
-pub use stats::ExprStats;
 pub use store::AnnStore;
 pub use tensor::Tensor;
 pub use valuation::Valuation;

@@ -103,7 +103,7 @@ impl AggValue {
 
     /// Fold `n` identical copies of this element under `kind` — the
     /// closed form of `combine`ing it with itself `n - 1` times. Used by
-    /// store backends to expand run-length multiplicities without
+    /// the segment store's fold to expand run-length multiplicities without
     /// materializing `n` tensors: MAX/MIN of `n` equal values is the
     /// value, SUM/COUNT scale linearly; counts always scale.
     pub fn scaled(self, n: u64, kind: AggKind) -> AggValue {

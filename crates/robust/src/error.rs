@@ -14,8 +14,8 @@ use crate::budget::BudgetStop;
 /// policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ErrorKind {
-    /// The caller handed us something malformed: unparsable provenance,
-    /// corrupt persisted bytes, an invalid configuration, a degenerate
+    /// The caller handed us something malformed: an unparsable request,
+    /// corrupt store bytes, an invalid configuration, a degenerate
     /// taxonomy, or a request the engine does not support.
     Input,
     /// An execution budget was exhausted before any work could be done.
@@ -58,7 +58,8 @@ pub enum ProxError {
         /// Byte offset into the input where parsing failed.
         offset: usize,
     },
-    /// An I/O operation failed (reading or writing persisted workloads).
+    /// An I/O operation failed (reading or writing a segment store, a
+    /// report or a manifest).
     Io {
         /// What we were doing (e.g. the path involved).
         context: String,

@@ -51,7 +51,8 @@ static PANICS: Counter = Counter::new("fault/panic_calls");
 /// Where a fault clause applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Flip bits in persisted provenance bytes as they are read.
+    /// Flip bits in bytes as they are read: a segment store's annotation
+    /// table and frames, and HTTP request bodies.
     Corrupt,
     /// Truncate generated datasets.
     Truncate,

@@ -7,7 +7,7 @@
 //! payload is a content address.
 //!
 //! The in-tree `prox_obs::Json` shape produced by [`entry_to_json`] is
-//! the debug/interchange format: `prox store stat --sample` prints it,
+//! a debug view, never read back: `prox store stat --sample` prints it,
 //! and tests use it to compare decoded entries structurally.
 //!
 //! Every decoder returns a typed [`ProxError::Corrupt`] on truncated or
@@ -525,7 +525,7 @@ pub fn decode_annstore(bytes: &[u8]) -> Result<AnnStore, ProxError> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON debug / interchange
+// JSON debug view
 // ---------------------------------------------------------------------------
 
 fn poly_json(p: &Polynomial) -> Json {
@@ -547,7 +547,7 @@ fn poly_json(p: &Polynomial) -> Json {
     )
 }
 
-/// Render one decoded entry in the debug/interchange JSON shape used by
+/// Render one decoded entry in the debug JSON shape used by
 /// `prox store stat --sample` (annotation names resolved through `anns`).
 pub fn entry_to_json(anns: &AnnStore, object: AnnId, t: &Tensor, multiplicity: u64) -> Json {
     let mut j = Json::obj();

@@ -4,8 +4,8 @@
 //! summarizer can work over provenance far larger than memory:
 //!
 //! * **Binary framing** ([`codec`]) — each entry `(object, tensor)` is a
-//!   canonical length-prefixed frame; the in-tree `prox_obs::Json` shape
-//!   is the debug/interchange format.
+//!   canonical length-prefixed frame, the one on-disk provenance format;
+//!   the in-tree `prox_obs::Json` shape is its debug view.
 //! * **Content addressing** ([`fp`]) — frames are addressed by the
 //!   FNV-1a 64 hash of their bytes ([`prox_obs::fnv64`], which the serve
 //!   cache fingerprints requests with), so identical subexpressions share

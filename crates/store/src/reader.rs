@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use prox_obs::store_metrics::BYTES_READ;
 use prox_obs::{fnv64, fnv64_update, Json, FNV_OFFSET};
-use prox_provenance::{AggExpr, AggKind, AnnId, AnnStore, ProvExpr, StoreBackend, Tensor};
+use prox_provenance::{AggExpr, AggKind, AnnId, AnnStore, ProvExpr, Tensor};
 use prox_robust::{fault, BudgetSession, BudgetStop, ProxError};
 
 use crate::builder::{
@@ -769,33 +769,6 @@ impl SegmentStore {
 /// Round to 6 decimal places so ratios render identically across runs.
 fn round6(x: f64) -> f64 {
     (x * 1e6).round() / 1e6
-}
-
-impl StoreBackend for SegmentStore {
-    fn agg_kind(&self) -> AggKind {
-        self.info.agg
-    }
-
-    fn logical_len(&self) -> u64 {
-        self.info.logical
-    }
-
-    fn for_each_entry(
-        &mut self,
-        session: &mut BudgetSession,
-        f: &mut dyn FnMut(AnnId, Tensor, u64) -> Result<(), ProxError>,
-    ) -> Result<Option<BudgetStop>, ProxError> {
-        let outcome = self.scan(session, f)?;
-        Ok(outcome.stopped)
-    }
-
-    fn collect(
-        &mut self,
-        session: &mut BudgetSession,
-    ) -> Result<(ProvExpr, Option<BudgetStop>), ProxError> {
-        let (expr, outcome) = SegmentStore::collect(self, session)?;
-        Ok((expr, outcome.stopped))
-    }
 }
 
 fn load_segment_index(

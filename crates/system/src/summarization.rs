@@ -53,6 +53,23 @@ impl Default for SummarizationRequest {
     }
 }
 
+impl SummarizationRequest {
+    /// The summarizer configuration these parameters set: `wSize` is the
+    /// complement of `wDist`, and every other field keeps its default.
+    pub fn config(&self) -> SummarizeConfig {
+        SummarizeConfig {
+            w_dist: self.w_dist,
+            w_size: 1.0 - self.w_dist,
+            target_dist: self.target_dist,
+            target_size: self.target_size,
+            max_steps: self.steps,
+            val_func: self.val_func,
+            budget: self.budget.clone(),
+            ..Default::default()
+        }
+    }
+}
+
 /// The service's output: the algorithm result plus the inputs needed by
 /// the summary view (original provenance, valuations).
 #[derive(Debug)]
@@ -92,15 +109,8 @@ pub fn summarize(
     let valuations = data.valuations(request.valuation_class);
     let constraints = data.constraints();
     let config = SummarizeConfig {
-        w_dist: request.w_dist,
-        w_size: 1.0 - request.w_dist,
-        target_dist: request.target_dist,
-        target_size: request.target_size,
-        max_steps: request.steps,
-        val_func: request.val_func,
         record_snapshots: true,
-        budget: request.budget.clone(),
-        ..Default::default()
+        ..request.config()
     };
     let mut summarizer = Summarizer::new(&mut data.store, constraints, config);
     let result = summarizer.summarize(&selected.provenance, &valuations)?;

@@ -10,10 +10,14 @@
 //!   prox                      — interactive shell
 //!
 //! One-shot flags: `--wdist <f>`, `--steps <n>`, `--tsize <n>`,
-//! `--tdist <f>`, `--budget-ms <n>`, `--load <workload.json>`. Exit codes
-//! classify failures: 2 = invalid input, 3 = budget exhausted before any
-//! work, 4 = internal error. A budget that trips *mid-run* is not a
-//! failure — the best-so-far summary is printed and the exit code is 0.
+//! `--tdist <f>`, `--budget-ms <n>`, `--store <dir>`. Without `--store`
+//! the run summarizes the demo MovieLens instance; with it, the whole
+//! segment store at `<dir>` (built by `prox store build`), through the
+//! pipeline `POST /summarize/store` runs. Exit codes classify failures:
+//! 2 = invalid input (a corrupt store included), 3 = budget exhausted
+//! before any work, 4 = internal error. A budget that trips *mid-run* is
+//! not a failure — the best-so-far summary is printed and the exit code
+//! is 0.
 //!
 //! Serve flags: `--addr <host:port>`, `--workers <n>`, `--queue <n>`,
 //! `--cache <n>`, `--budget-ms <n>` (default wall-clock budget per
@@ -57,16 +61,14 @@
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
-use prox_core::{
-    ConstraintConfig, ExecutionBudget, MergeRule, ProxError, SummarizeConfig, Summarizer,
-};
+use prox_core::{ExecutionBudget, ProxError};
 use prox_datasets::MovieLens;
 use prox_serve::service::DEMO_DATASET;
 use prox_system::evaluator::{evaluate_both, Assignment};
 use prox_system::render;
 use prox_system::selection::{select, Selected, Selection};
 use prox_system::session::Session;
-use prox_system::summarization::{summarize, SummarizationRequest};
+use prox_system::summarization::{summarize, summarize_selection, SummarizationRequest};
 
 // Count this binary's heap through prox-obs so `prox stats`, `/metrics`,
 // and `/metrics.json` report real live/peak/total allocation numbers.
@@ -500,7 +502,7 @@ fn store_cmd(args: &[String]) -> Result<String, ProxError> {
 /// `prox summarize [flags]`: one run, report on stdout, typed exit code.
 fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
     let mut request = SummarizationRequest::default();
-    let mut load: Option<String> = None;
+    let mut store_dir: Option<String> = None;
     let mut ix = 0;
     while ix < args.len() {
         let flag = args[ix].as_str();
@@ -516,7 +518,7 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
                 let ms: u64 = parse_flag(flag, value)?;
                 request.budget = ExecutionBudget::unlimited().with_deadline_ms(ms);
             }
-            "--load" => load = Some(value.clone()),
+            "--store" => store_dir = Some(value.clone()),
             other => {
                 return Err(ProxError::config(format!(
                     "unknown flag {other:?} — see `prox summarize` usage in --help"
@@ -526,40 +528,20 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
         ix += 2;
     }
 
-    let result = match load {
-        Some(path) => {
-            // A saved workload carries its own store; merge within each
-            // domain on any shared attribute.
-            let mut workload = prox_provenance::load_workload(Path::new(&path))?;
-            let p0 = workload.provenance.clone().ok_or_else(|| {
-                ProxError::unsupported("one-shot summarize needs an aggregated-provenance workload")
-            })?;
-            let mut domains = Vec::new();
-            for (_, ann) in workload.store.iter() {
-                if !domains.contains(&ann.domain) {
-                    domains.push(ann.domain);
-                }
+    let result = match store_dir {
+        Some(dir) => {
+            // The whole store, folded under the request budget and
+            // summarized as `POST /summarize/store` summarizes its fold.
+            let mut store = prox_store::SegmentStore::open(Path::new(&dir))?;
+            let (selection, outcome) = store.collect(&mut request.budget.start())?;
+            let mut anns = store.anns().clone();
+            let mut result = summarize_selection(&selection, &mut anns, request.config())?;
+            // A fold the budget cut short summarized part of the store:
+            // the stop line says so, as it does for a mid-run trip.
+            if let Some(stop) = outcome.stopped {
+                result.stop_reason = stop.into();
             }
-            let mut constraints = ConstraintConfig::new();
-            for &d in &domains {
-                constraints = constraints.allow(d, MergeRule::SharedAttribute { attrs: vec![] });
-            }
-            let anns = p0.annotations();
-            let valuations = request
-                .valuation_class
-                .generate(&workload.store, &anns, &domains);
-            let config = SummarizeConfig {
-                w_dist: request.w_dist,
-                w_size: 1.0 - request.w_dist,
-                target_dist: request.target_dist,
-                target_size: request.target_size,
-                max_steps: request.steps,
-                val_func: request.val_func,
-                budget: request.budget.clone(),
-                ..Default::default()
-            };
-            let mut summarizer = Summarizer::new(&mut workload.store, constraints, config);
-            summarizer.summarize(&p0, &valuations)?
+            result
         }
         None => {
             let mut data = MovieLens::generate(DEMO_DATASET);

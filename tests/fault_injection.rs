@@ -7,11 +7,14 @@
 //! harness state never leaks between tests. CI reruns this suite under
 //! several `PROX_FAULT` values (see `env_spec_end_to_end_never_panics`).
 
-use prox::core::{ErrorKind, StopReason, SummarizeConfig, Summarizer, ValFuncKind};
+use prox::core::{
+    ErrorKind, ExecutionBudget, StopReason, SummarizeConfig, Summarizer, ValFuncKind,
+};
 use prox::datasets::{Ddp, DdpConfig, MovieLens, MovieLensConfig, Wikipedia, WikipediaConfig};
-use prox::provenance::{load_workload, save_workload, AggKind, SavedWorkload, ValuationClass};
+use prox::provenance::{AggKind, ValuationClass};
 use prox::robust::fault::{parse_spec, FaultGuard};
 use prox::taxonomy::{check_taxonomy, wordnet_fragment};
+use prox_store::{SegmentStore, StoreBuilder};
 
 #[test]
 fn fault_spec_grammar_accepts_and_rejects() {
@@ -36,38 +39,6 @@ fn fault_spec_grammar_accepts_and_rejects() {
     let err = parse_spec("bogus:1").expect_err("unknown site");
     assert_eq!(err.kind(), ErrorKind::Input);
     assert_eq!(err.kind().exit_code(), 2);
-}
-
-#[test]
-fn corrupted_workload_bytes_are_a_typed_error_or_a_valid_load() {
-    let path = std::env::temp_dir().join(format!("prox_fault_corrupt_{}.json", std::process::id()));
-    let data = MovieLens::generate(MovieLensConfig {
-        users: 6,
-        movies: 3,
-        ratings_per_user: 2,
-        seed: 5,
-    });
-    let p0 = data.provenance(AggKind::Max);
-    {
-        // Write pristine bytes; corruption applies on the read path.
-        let _clean = FaultGuard::disabled();
-        save_workload(&path, &SavedWorkload::aggregated(data.store.clone(), p0))
-            .expect("temp dir is writable");
-    }
-    for seed in [1u64, 2, 3, 42, 99] {
-        let _g = FaultGuard::install(&format!("corrupt@0.02:{seed}")).expect("valid spec");
-        match load_workload(&path) {
-            // A lucky flip can leave the JSON parsable; the load is then
-            // fully validated, so using it is safe.
-            Ok(w) => assert!(w.provenance.is_some(), "loads are validated"),
-            Err(e) => assert_eq!(
-                e.kind(),
-                ErrorKind::Input,
-                "corruption is an input error: {e}"
-            ),
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -235,18 +206,27 @@ fn env_spec_end_to_end_never_panics() {
     let mut data = MovieLens::generate(MovieLensConfig::default());
     let p0 = data.provenance(AggKind::Max);
 
-    // Persistence round trip (corrupt site).
-    let path = std::env::temp_dir().join(format!("prox_fault_e2e_{}.json", std::process::id()));
-    save_workload(
-        &path,
-        &SavedWorkload::aggregated(data.store.clone(), p0.clone()),
-    )
-    .expect("temp dir is writable");
-    let reloaded = load_workload(&path);
-    let _ = std::fs::remove_file(&path);
+    // A round trip through the segment store (corrupt site: the
+    // annotation table and every frame pass the hook as they are read;
+    // budget site: the fold polls its session once per log record).
+    let dir = std::env::temp_dir().join(format!("prox_fault_e2e_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut builder =
+        StoreBuilder::create(&dir, &data.store, AggKind::Max).expect("temp dir is writable");
+    for (object, tensor) in p0.tensors() {
+        builder.append(object, tensor, 1).expect("store append");
+    }
+    builder.finish().expect("store finish");
+    let reloaded = SegmentStore::open(&dir)
+        .and_then(|mut store| store.collect(&mut ExecutionBudget::unlimited().start()));
+    let _ = std::fs::remove_dir_all(&dir);
     match reloaded {
-        Ok(w) => assert!(w.provenance.is_some(), "loads are validated"),
-        Err(e) => assert_eq!(e.kind(), ErrorKind::Input),
+        Ok((expr, outcome)) if outcome.stopped.is_none() => {
+            assert_eq!(expr.size(), p0.size(), "a complete fold reads it all back");
+        }
+        // The injected trip arms even an unlimited session.
+        Ok((expr, _)) => assert!(expr.size() <= p0.size()),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::Input, "a damaged store: {e}"),
     }
 
     // Summarization (budget site): best-so-far or a typed budget error.

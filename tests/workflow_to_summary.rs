@@ -1,17 +1,17 @@
 //! Integration test: the complete pipeline from application execution to
 //! approximate provisioning — workflow run (Chapter 2) → guarded
 //! provenance (Example 2.2.1) → guard discharge (Example 3.1.1) →
-//! summarization (Chapter 4) → insights and persistence.
+//! summarization (Chapter 4) → insights, and a round trip through the
+//! segment store.
 
 // Harness helpers outside #[test] fns still panic on broken setup.
 #![allow(clippy::expect_used)]
 
-use prox::core::{ConstraintConfig, MergeRule, SummarizeConfig, Summarizer};
-use prox::provenance::{
-    from_json, to_json, AggKind, AnnStore, SavedWorkload, Valuation, ValuationClass,
-};
+use prox::core::{ConstraintConfig, ExecutionBudget, MergeRule, SummarizeConfig, Summarizer};
+use prox::provenance::{AggKind, AnnStore, Valuation, ValuationClass};
 use prox::system::insights::group_insights;
 use prox::workflow::{demo_database, movie_workflow, movies_provenance, reviews_relation};
+use prox_store::{SegmentStore, StoreBuilder};
 
 fn run_workflow() -> (AnnStore, prox::provenance::ProvExpr) {
     let mut store = AnnStore::new();
@@ -109,17 +109,55 @@ fn workflow_output_summarizes_end_to_end() {
 }
 
 #[test]
-fn workflow_provenance_roundtrips_through_json() {
+fn workflow_provenance_roundtrips_through_the_store() {
     let (store, guarded) = run_workflow();
-    let json = to_json(&SavedWorkload::aggregated(store, guarded.clone())).expect("serializes");
-    let loaded: SavedWorkload = from_json(&json).expect("valid json");
-    let lp = loaded.provenance.expect("aggregated");
-    assert_eq!(lp, guarded);
+    let dir = std::env::temp_dir().join(format!("prox_workflow_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut builder =
+        StoreBuilder::create(&dir, &store, AggKind::Max).expect("temp dir is writable");
+    for (object, tensor) in guarded.tensors() {
+        builder.append(object, tensor, 1).expect("store append");
+    }
+    builder.finish().expect("store finish");
+    let mut segments = SegmentStore::open(&dir).expect("store opens");
+    let (lp, outcome) = segments
+        .collect(&mut ExecutionBudget::unlimited().start())
+        .expect("store folds");
+    let loaded = segments.anns().clone();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(outcome.stopped.is_none(), "an unlimited fold reads it all");
+
+    // Every annotation keeps its id, its name and its domain's name.
+    assert_eq!(loaded.len(), store.len());
+    for (id, ann) in store.iter() {
+        assert_eq!(loaded.by_name(&ann.name), Some(id));
+        assert_eq!(loaded.name(id), ann.name);
+        assert_eq!(
+            loaded.domain_name(loaded.get(id).domain),
+            store.domain_name(ann.domain)
+        );
+    }
+
+    // Every object keeps its tensors. A fold orders objects by id and an
+    // object's tensors by fingerprint, so compare per object, not with `==`.
+    assert_eq!(lp.num_objects(), guarded.num_objects());
+    for (object, expr) in guarded.entries() {
+        let (_, back) = lp
+            .entries()
+            .iter()
+            .find(|(o, _)| o == object)
+            .expect("every object comes back");
+        assert_eq!(back.len(), expr.len());
+        for t in expr.tensors() {
+            assert!(back.tensors().contains(t), "{t:?} lost");
+        }
+    }
+
     // Guards survive the round trip semantically: cancelling a stats
     // annotation drops the review either way.
-    let s2 = loaded.store.by_name("S_U3").expect("stats annotation");
+    let s2 = loaded.by_name("S_U3").expect("stats annotation");
     let v = Valuation::cancel(&[s2]);
-    let mp = loaded.store.by_name("MatchPoint").expect("movie");
+    let mp = loaded.by_name("MatchPoint").expect("movie");
     assert_eq!(lp.eval(&v).scalar_for(mp), guarded.eval(&v).scalar_for(mp));
     assert_eq!(lp.eval(&v).scalar_for(mp), Some(4.0), "U3's 5 dropped");
 }
