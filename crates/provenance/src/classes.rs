@@ -84,17 +84,6 @@ impl ValuationClass {
     }
 }
 
-/// Check that no valuation in the set is "contradictory" in the sense of
-/// Prop 4.2.1's precondition: here, that every valuation assigns each
-/// annotation exactly one value (guaranteed by construction) and that the
-/// set is non-empty for equivalence grouping to be meaningful.
-pub fn validate_class(valuations: &[Valuation]) -> Result<(), prox_robust::ProxError> {
-    if valuations.is_empty() {
-        return Err(prox_robust::ProxError::config("empty valuation class"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,11 +131,5 @@ mod tests {
         let users = s.domain("users");
         let vs = ValuationClass::CancelSingleAnnotation.generate(&s, &anns, &[users]);
         assert_eq!(vs.len(), 3, "movie annotation not eligible");
-    }
-
-    #[test]
-    fn validate_rejects_empty() {
-        assert!(validate_class(&[]).is_err());
-        assert!(validate_class(&[Valuation::all_true()]).is_ok());
     }
 }

@@ -110,20 +110,6 @@ pub enum EvalOutcome {
     },
 }
 
-impl EvalOutcome {
-    /// Collapse to a scalar where that makes sense (absolute-difference
-    /// VAL-FUNCs). Vectors collapse to their first coordinate only when
-    /// one-dimensional; DDP outcomes report their cost or 0.
-    pub fn as_scalar(&self) -> Option<f64> {
-        match self {
-            EvalOutcome::Scalar(x) => Some(*x),
-            EvalOutcome::Vector(v) if v.dim() == 1 => Some(v.coords()[0].1.result()),
-            EvalOutcome::Vector(_) => None,
-            EvalOutcome::Ddp { cost } => Some(cost.unwrap_or(0.0)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,17 +163,6 @@ mod tests {
         let x = vec_of(AggKind::Max, &[(1, 3.0, 1)]);
         let y = vec_of(AggKind::Max, &[(2, 4.0, 1)]);
         assert!((x.euclidean(&y) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scalar_collapse() {
-        assert_eq!(EvalOutcome::Scalar(2.5).as_scalar(), Some(2.5));
-        let v1 = vec_of(AggKind::Max, &[(1, 3.0, 1)]);
-        assert_eq!(EvalOutcome::Vector(v1).as_scalar(), Some(3.0));
-        let v2 = vec_of(AggKind::Max, &[(1, 3.0, 1), (2, 1.0, 1)]);
-        assert_eq!(EvalOutcome::Vector(v2).as_scalar(), None);
-        assert_eq!(EvalOutcome::Ddp { cost: Some(4.0) }.as_scalar(), Some(4.0));
-        assert_eq!(EvalOutcome::Ddp { cost: None }.as_scalar(), Some(0.0));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! value of `a'`. With `φ = ∨` a summary is cancelled only when *all* its
 //! members are cancelled; with `φ = ∧` cancelling any member cancels the
 //! group. DDP cost variables use MAX over their 0/1 assignments, which for
-//! booleans coincides with ∨ (exposed separately for clarity and for the
-//! numeric lift used by the DDP evaluator).
+//! booleans coincides with ∨ (kept as its own variant because Table 5.1
+//! names it).
 
 use std::fmt;
 
@@ -31,23 +31,11 @@ impl Phi {
             Phi::And => values.into_iter().all(|b| b),
         }
     }
-
-    /// Combine numeric 0/1 assignments (DDP cost variables).
-    pub fn combine_num(self, values: impl IntoIterator<Item = f64>) -> f64 {
-        match self {
-            Phi::Or | Phi::Max => values.into_iter().fold(0.0, f64::max),
-            Phi::And => values
-                .into_iter()
-                .fold(f64::INFINITY, f64::min)
-                .clamp(0.0, 1.0),
-        }
-    }
 }
 
 /// Per-domain combiner assignment (Table 5.1's DDP row uses logical OR for
 /// DB variables and MAX for cost variables). On booleans OR and MAX agree,
-/// but keeping the assignment explicit preserves the paper's semantics and
-/// lets the numeric lift differ where it matters.
+/// but keeping the assignment explicit preserves the paper's semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhiMap {
     /// Combiner used when no per-domain override matches.
@@ -117,19 +105,6 @@ mod tests {
                 Phi::Or.combine_bool(pattern)
             );
         }
-    }
-
-    #[test]
-    fn numeric_max_combines_multipliers() {
-        assert_eq!(Phi::Max.combine_num([0.0, 1.0]), 1.0);
-        assert_eq!(Phi::Max.combine_num([0.0, 0.0]), 0.0);
-        assert_eq!(Phi::Max.combine_num(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn numeric_and_is_min_clamped() {
-        assert_eq!(Phi::And.combine_num([1.0, 0.0]), 0.0);
-        assert_eq!(Phi::And.combine_num([1.0, 1.0]), 1.0);
     }
 
     #[test]

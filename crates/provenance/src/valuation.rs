@@ -109,11 +109,6 @@ impl Valuation {
         self.assign.iter().map(|(&a, &b)| (a, b))
     }
 
-    /// The default truth value.
-    pub fn default_value(&self) -> bool {
-        self.default
-    }
-
     /// Lift this valuation (on original annotations) to one on summary
     /// annotations via the mapping `h` and combiner `φ` (§3.2): for every
     /// summary annotation `a'` in the store,

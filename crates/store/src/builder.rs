@@ -16,8 +16,12 @@
 //! Dedup is exact: a frame is written the first time its fingerprint is
 //! seen; every later logical occurrence only grows a run in the log and
 //! the `store/dedup_hit` counter.
+//!
+//! An append allocates nothing of its own: each entry is encoded into one
+//! reused buffer, and the only per-frame heap traffic left is the growth
+//! of the fingerprint set and of the segment indexes (DESIGN §14.9).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -27,7 +31,7 @@ use prox_obs::{fnv64, fnv64_update, Json, FNV_OFFSET};
 use prox_provenance::{AggKind, AnnId, AnnStore, Tensor};
 use prox_robust::ProxError;
 
-use crate::codec::{encode_annstore, encode_entry, END_MAGIC};
+use crate::codec::{encode_annstore, encode_entry_into, END_MAGIC};
 use crate::fp::{shard_of, SHARDS};
 use crate::segment::{SegmentMeta, SegmentWriter};
 
@@ -67,13 +71,17 @@ impl StoreSummary {
 }
 
 /// Streaming store writer. Segment frames and log records go through
-/// `BufWriter`s as they arrive; only the dedup set (one `u64` per unique
-/// frame) and the per-segment offset indexes are held in memory.
+/// `BufWriter`s as they arrive; only the dedup set (the fingerprint of
+/// every unique frame) and the per-segment offset indexes are held in
+/// memory.
 pub struct StoreBuilder {
     dir: PathBuf,
     agg: AggKind,
     writers: Vec<Option<SegmentWriter>>,
-    seen: BTreeMap<u64, u32>,
+    /// Fingerprints of the frames written so far.
+    seen: BTreeSet<u64>,
+    /// The entry being appended, encoded; one buffer for every append.
+    frame: Vec<u8>,
     log: BufWriter<File>,
     log_entries: u64,
     log_checksum: u64,
@@ -106,7 +114,8 @@ impl StoreBuilder {
             dir: dir.to_path_buf(),
             agg,
             writers,
-            seen: BTreeMap::new(),
+            seen: BTreeSet::new(),
+            frame: Vec::new(),
             log,
             log_entries: 0,
             log_checksum: FNV_OFFSET,
@@ -129,25 +138,21 @@ impl StoreBuilder {
         if multiplicity == 0 {
             return Err(ProxError::config("store append with multiplicity 0"));
         }
-        let payload = encode_entry(object, tensor);
-        let fp = fnv64(&payload);
-        if self.seen.contains_key(&fp) {
-            DEDUP_HIT.add(multiplicity);
-        } else {
-            let shard = shard_of(fp) as usize;
-            if self.writers[shard].is_none() {
-                self.writers[shard] = Some(SegmentWriter::create(&self.dir, shard as u8)?);
+        encode_entry_into(&mut self.frame, object, tensor);
+        let fp = fnv64(&self.frame);
+        if self.seen.insert(fp) {
+            if let Err(e) = self.write_frame(fp) {
+                // Not written, so not seen: the counts stay those of the
+                // frames on disk.
+                self.seen.remove(&fp);
+                return Err(e);
             }
-            match &mut self.writers[shard] {
-                Some(w) => w.append(fp, &payload)?,
-                // Unreachable: just created above. Typed error, not a panic.
-                None => return Err(ProxError::internal("segment writer vanished")),
-            };
-            self.seen.insert(fp, payload.len() as u32);
-            self.payload_bytes += payload.len() as u64;
+            self.payload_bytes += self.frame.len() as u64;
             // The first logical occurrence pays for the frame; the rest
             // of this run already shares it.
             DEDUP_HIT.add(multiplicity - 1);
+        } else {
+            DEDUP_HIT.add(multiplicity);
         }
         self.logical += multiplicity;
         match &mut self.run {
@@ -158,6 +163,17 @@ impl StoreBuilder {
             }
         }
         Ok(fp)
+    }
+
+    /// Write the encoded entry in `frame` to its fingerprint's segment.
+    fn write_frame(&mut self, fp: u64) -> Result<(), ProxError> {
+        let shard = shard_of(fp);
+        let writer = match &mut self.writers[shard as usize] {
+            Some(w) => w,
+            slot @ None => slot.insert(SegmentWriter::create(&self.dir, shard)?),
+        };
+        writer.append(fp, &self.frame)?;
+        Ok(())
     }
 
     fn flush_run(&mut self) -> Result<(), ProxError> {
@@ -189,7 +205,7 @@ impl StoreBuilder {
             .map_err(|e| io("end magic", &e))?;
         self.log.flush().map_err(|e| io("flush", &e))?;
 
-        let mut segments = Vec::new();
+        let mut segments = Vec::with_capacity(SHARDS);
         for writer in self.writers.into_iter().flatten() {
             segments.push(writer.finish()?);
         }
@@ -203,7 +219,7 @@ impl StoreBuilder {
         };
         let manifest = manifest_json(&summary, self.agg, self.log_checksum);
         let path = self.dir.join(MANIFEST_FILE);
-        let mut text = manifest.sorted().pretty();
+        let mut text = manifest.pretty();
         text.push('\n');
         std::fs::write(&path, text)
             .map_err(|e| ProxError::io(format!("write {}", path.display()), &e))?;
@@ -211,43 +227,45 @@ impl StoreBuilder {
     }
 }
 
+/// The manifest, every object's keys set in sorted order: it is written
+/// as built, with no sorted copy.
 fn manifest_json(s: &StoreSummary, agg: AggKind, log_checksum: u64) -> Json {
     let mut counts = Json::obj();
-    counts.set("logical", s.logical);
-    counts.set("unique", s.unique);
-    counts.set("log_entries", s.log_entries);
     counts.set("annotations", s.annotations);
+    counts.set("log_entries", s.log_entries);
+    counts.set("logical", s.logical);
     counts.set("payload_bytes", s.payload_bytes);
+    counts.set("unique", s.unique);
 
     let segs = Json::Arr(
         s.segments
             .iter()
             .map(|m| {
                 let mut j = Json::obj();
-                j.set("shard", format!("{:02x}", m.shard));
                 j.set("file", crate::segment::segment_file(m.shard));
+                j.set("file_bytes", m.file_bytes);
                 j.set("frames", m.frames);
                 j.set("payload_bytes", m.payload_bytes);
-                j.set("file_bytes", m.file_bytes);
+                j.set("shard", format!("{:02x}", m.shard));
                 j
             })
             .collect(),
     );
 
     let mut log = Json::obj();
-    log.set("file", LOG_FILE);
-    log.set("entries", s.log_entries);
     log.set("checksum", format!("{log_checksum:016x}"));
+    log.set("entries", s.log_entries);
+    log.set("file", LOG_FILE);
 
     let mut j = Json::obj();
-    j.set("format", FORMAT);
-    j.set("version", 1u64);
     j.set("agg", agg.name());
-    j.set("fingerprint", "fnv1a64");
-    j.set("counts", counts);
-    j.set("segments", segs);
-    j.set("log", log);
     j.set("anns_file", ANNS_FILE);
+    j.set("counts", counts);
+    j.set("fingerprint", "fnv1a64");
+    j.set("format", FORMAT);
+    j.set("log", log);
+    j.set("segments", segs);
+    j.set("version", 1u64);
     j
 }
 
@@ -262,5 +280,29 @@ pub fn agg_from_name(name: &str) -> Result<AggKind, ProxError> {
             "store manifest",
             format!("unknown aggregation kind '{other}'"),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_is_built_in_key_order() {
+        let summary = StoreSummary {
+            logical: 9,
+            unique: 2,
+            log_entries: 3,
+            annotations: 4,
+            payload_bytes: 88,
+            segments: vec![SegmentMeta {
+                shard: 10,
+                frames: 2,
+                payload_bytes: 88,
+                file_bytes: 160,
+            }],
+        };
+        let manifest = manifest_json(&summary, AggKind::Max, 0xfeed);
+        assert_eq!(manifest, manifest.sorted());
     }
 }

@@ -211,7 +211,19 @@ fn op_from_tag(tag: u8, dec: &Dec<'_>) -> Result<CmpOp, ProxError> {
 
 /// Serialize one store entry into a canonical frame payload.
 pub fn encode_entry(object: AnnId, t: &Tensor) -> Vec<u8> {
-    let mut enc = Enc::new();
+    let mut out = Vec::new();
+    encode_entry_into(&mut out, object, t);
+    out
+}
+
+/// [`encode_entry`] into `out`, replacing what it held. A writer that
+/// encodes every frame into one buffer allocates only while the buffer
+/// grows to the largest frame.
+pub fn encode_entry_into(out: &mut Vec<u8>, object: AnnId, t: &Tensor) {
+    out.clear();
+    let mut enc = Enc {
+        buf: std::mem::take(out),
+    };
     enc.put_u32(object.index() as u32);
     encode_poly(&mut enc, &t.prov);
     enc.put_u32(t.guards.len() as u32);
@@ -226,7 +238,7 @@ pub fn encode_entry(object: AnnId, t: &Tensor) -> Vec<u8> {
     }
     enc.put_f64(t.value.value);
     enc.put_u64(t.value.count);
-    enc.into_bytes()
+    *out = enc.into_bytes();
 }
 
 fn decode_ann(dec: &mut Dec<'_>, max_ann: usize) -> Result<AnnId, ProxError> {

@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use prox_obs::fnv64;
+use prox_obs::{fnv64, fnv64_update, FNV_OFFSET};
 use prox_robust::ProxError;
 
 use crate::codec::{END_MAGIC, MAX_FRAME_BYTES};
@@ -85,7 +85,8 @@ impl SegmentWriter {
         })
     }
 
-    /// Append one frame; returns the entry recorded in the index.
+    /// Append one frame; returns the entry recorded in the index. `fp`
+    /// is `fnv64(payload)`: the frame's address and its checksum.
     pub fn append(&mut self, fp: u64, payload: &[u8]) -> Result<IndexEntry, ProxError> {
         if payload.len() > MAX_FRAME_BYTES {
             return Err(ProxError::internal(format!(
@@ -98,15 +99,12 @@ impl SegmentWriter {
             offset: self.offset,
             len: payload.len() as u32,
         };
-        let checksum = fnv64(payload);
         let io = |e: &std::io::Error| ProxError::io("append segment frame", e);
         self.out
             .write_all(&(payload.len() as u32).to_le_bytes())
             .map_err(|e| io(&e))?;
         self.out.write_all(payload).map_err(|e| io(&e))?;
-        self.out
-            .write_all(&checksum.to_le_bytes())
-            .map_err(|e| io(&e))?;
+        self.out.write_all(&fp.to_le_bytes()).map_err(|e| io(&e))?;
         self.offset += 4 + payload.len() as u64 + 8;
         self.payload_bytes += payload.len() as u64;
         self.index.push(entry);
@@ -117,30 +115,36 @@ impl SegmentWriter {
         self.index.len() as u64
     }
 
-    /// Write the sorted index and footer, flush, and return the meta.
+    /// Write the sorted index and footer, flush, and return the meta. The
+    /// index streams out with its checksum running beside it.
     pub fn finish(mut self) -> Result<SegmentMeta, ProxError> {
-        self.index.sort_by_key(|e| (e.fp, e.offset));
+        // Offsets are distinct, so the unstable sort orders as a stable one.
+        self.index.sort_unstable_by_key(|e| (e.fp, e.offset));
         let index_offset = self.offset;
-        let mut index_bytes = Vec::with_capacity(4 + self.index.len() * INDEX_ENTRY_BYTES);
-        index_bytes.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
-        for e in &self.index {
-            index_bytes.extend_from_slice(&e.fp.to_le_bytes());
-            index_bytes.extend_from_slice(&e.offset.to_le_bytes());
-            index_bytes.extend_from_slice(&e.len.to_le_bytes());
-        }
         let io = |e: &std::io::Error| ProxError::io("finish segment", e);
-        self.out.write_all(&index_bytes).map_err(|e| io(&e))?;
+        let count = (self.index.len() as u32).to_le_bytes();
+        self.out.write_all(&count).map_err(|e| io(&e))?;
+        let mut checksum = fnv64_update(FNV_OFFSET, &count);
+        let mut rec = [0u8; INDEX_ENTRY_BYTES];
+        for e in &self.index {
+            rec[..8].copy_from_slice(&e.fp.to_le_bytes());
+            rec[8..16].copy_from_slice(&e.offset.to_le_bytes());
+            rec[16..].copy_from_slice(&e.len.to_le_bytes());
+            self.out.write_all(&rec).map_err(|e| io(&e))?;
+            checksum = fnv64_update(checksum, &rec);
+        }
         self.out
             .write_all(&index_offset.to_le_bytes())
             .map_err(|e| io(&e))?;
         self.out
-            .write_all(&fnv64(&index_bytes).to_le_bytes())
+            .write_all(&checksum.to_le_bytes())
             .map_err(|e| io(&e))?;
         self.out.write_all(END_MAGIC).map_err(|e| io(&e))?;
         self.out
             .flush()
             .map_err(|e| ProxError::io(format!("flush segment {}", self.path.display()), &e))?;
-        let file_bytes = index_offset + index_bytes.len() as u64 + FOOTER_BYTES as u64;
+        let index_bytes = 4 + self.index.len() * INDEX_ENTRY_BYTES;
+        let file_bytes = index_offset + index_bytes as u64 + FOOTER_BYTES as u64;
         Ok(SegmentMeta {
             shard: self.shard,
             frames: self.index.len() as u64,
@@ -259,18 +263,12 @@ pub fn parse_index(bytes: &[u8], shard: u8) -> Result<Vec<IndexEntry>, ProxError
     )
 }
 
-/// Statistics from a full verification pass over one segment image.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SegmentCheck {
-    pub frames: u64,
-    pub payload_bytes: u64,
-}
-
 /// Walk every frame in a segment image, checking each payload checksum
 /// against its stored value and each index entry against the frame it
-/// points at. `bytes` is the full file (verification is an offline,
-/// whole-file pass; the serving read path uses the page cache instead).
-pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<SegmentCheck, ProxError> {
+/// points at. Returns the index, parsed and checked once. `bytes` is
+/// the full file (verification is an offline, whole-file pass; the
+/// serving read path uses the page cache instead).
+pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<Vec<IndexEntry>, ProxError> {
     let entries = parse_index(bytes, shard)?;
     let corrupt = |detail: String| {
         ProxError::corrupt(
@@ -278,7 +276,6 @@ pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<SegmentCheck, ProxError
             format!("{} shard {shard:02x}: {detail}", segment_file(shard)),
         )
     };
-    let mut check = SegmentCheck::default();
     for e in &entries {
         let off = e.offset as usize;
         let len_field = bytes
@@ -315,8 +312,6 @@ pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<SegmentCheck, ProxError
                 e.fp
             )));
         }
-        check.frames += 1;
-        check.payload_bytes += e.len as u64;
     }
-    Ok(check)
+    Ok(entries)
 }

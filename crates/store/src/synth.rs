@@ -7,10 +7,16 @@
 //! independently — ten million logical ratings typically share on the
 //! order of a hundred thousand distinct `(movie, user, rating)` frames,
 //! which is exactly the sharing the content-addressed store exploits.
+//!
+//! A build's heap traffic follows the annotation table, not the frames:
+//! every domain, attribute and value is interned once, the rating stream
+//! draws annotation ids the table's construction returned, and each user
+//! has one tensor whose value a frame overwrites (DESIGN §14.9).
 
+use std::fmt::Write;
 use std::path::Path;
 
-use prox_provenance::{AggKind, AggValue, AnnStore, Polynomial, Tensor};
+use prox_provenance::{AggKind, AggValue, AnnId, AnnStore, Polynomial, Tensor};
 use prox_robust::{DetRng, ProxError};
 
 use crate::builder::{StoreBuilder, StoreSummary};
@@ -78,36 +84,68 @@ const DECADES: [&str; 8] = [
     "1920s", "1930s", "1940s", "1950s", "1960s", "1970s", "1980s", "1990s",
 ];
 
+/// Occupations are `occ0` .. `occ20`.
+const OCCUPATIONS: usize = 21;
+
+/// The annotation population and the ids a rating stream draws from.
+pub struct SynthAnns {
+    pub anns: AnnStore,
+    /// `users[u]` is user `u`'s annotation `u{u}`.
+    pub users: Vec<AnnId>,
+    /// `movies[m]` is movie `m`'s annotation `m{m}`.
+    pub movies: Vec<AnnId>,
+}
+
 /// Build the annotation population: one base annotation per user and
 /// per movie, attributed so `SharedAttribute` merge rules have
-/// something to group on.
-pub fn synth_annstore(spec: &SynthSpec) -> (AnnStore, u32) {
+/// something to group on. Attributes are interned in the order a user's
+/// and then a movie's list names them, which fixes the order
+/// `anns.bin` writes each annotation's attributes in.
+pub fn synth_annstore(spec: &SynthSpec) -> SynthAnns {
     let mut rng = DetRng::new(spec.seed ^ ANN_SEED_MIX);
     let mut anns = AnnStore::new();
+    let user = anns.domain("user");
+    let movie = anns.domain("movie");
+    let gender = anns.attr("gender");
+    let age = anns.attr("age");
+    let occupation = anns.attr("occupation");
+    let genre = anns.attr("genre");
+    let decade = anns.attr("decade");
+    let genders = GENDERS.map(|v| anns.value(v));
+    let age_bands = AGE_BANDS.map(|v| anns.value(v));
+    let occupations: Vec<_> = (0..OCCUPATIONS)
+        .map(|o| anns.value(&format!("occ{o}")))
+        .collect();
+    let genres = GENRES.map(|v| anns.value(v));
+    let decades = DECADES.map(|v| anns.value(v));
+
+    let mut name = String::new();
+    let mut users = Vec::with_capacity(spec.users as usize);
     for u in 0..spec.users {
-        let gender = GENDERS[rng.below(GENDERS.len())];
-        let age = AGE_BANDS[rng.below(AGE_BANDS.len())];
-        let occupation = format!("occ{}", rng.below(21));
-        anns.add_base_with(
-            &format!("u{u}"),
-            "user",
-            &[
-                ("gender", gender),
-                ("age", age),
-                ("occupation", &occupation),
-            ],
-        );
+        let attrs = vec![
+            (gender, genders[rng.below(genders.len())]),
+            (age, age_bands[rng.below(age_bands.len())]),
+            (occupation, occupations[rng.below(OCCUPATIONS)]),
+        ];
+        name.clear();
+        let _ = write!(name, "u{u}");
+        users.push(anns.add_base(&name, user, attrs));
     }
+    let mut movies = Vec::with_capacity(spec.movies as usize);
     for m in 0..spec.movies {
-        let genre = GENRES[rng.below(GENRES.len())];
-        let decade = DECADES[rng.below(DECADES.len())];
-        anns.add_base_with(
-            &format!("m{m}"),
-            "movie",
-            &[("genre", genre), ("decade", decade)],
-        );
+        let attrs = vec![
+            (genre, genres[rng.below(genres.len())]),
+            (decade, decades[rng.below(decades.len())]),
+        ];
+        name.clear();
+        let _ = write!(name, "m{m}");
+        movies.push(anns.add_base(&name, movie, attrs));
     }
-    (anns, spec.users)
+    SynthAnns {
+        anns,
+        users,
+        movies,
+    }
 }
 
 /// Mixed into the annotation-population RNG so it is decorrelated from
@@ -140,24 +178,29 @@ pub fn build_synthetic(dir: &Path, spec: &SynthSpec) -> Result<SynthReport, Prox
             spec.logical, spec.unique_frames
         )));
     }
-    let (anns, users) = synth_annstore(spec);
+    let SynthAnns {
+        anns,
+        users,
+        movies,
+    } = synth_annstore(spec);
     let mut builder = StoreBuilder::create(dir, &anns, AggKind::Max)?;
+    // `anns.bin` is written; the frames need only the ids.
+    drop(anns);
+    // One tensor per user; each frame overwrites its value.
+    let mut tensors: Vec<Tensor> = users
+        .into_iter()
+        .map(|u| Tensor::new(Polynomial::var(u), AggValue::single(0.0)))
+        .collect();
     let mut rng = DetRng::new(spec.seed);
     let base = spec.logical / spec.unique_frames;
     let extra = spec.logical % spec.unique_frames;
     for i in 0..spec.unique_frames {
-        let user = rng.below(users as usize);
-        let movie = rng.below(spec.movies as usize);
-        let rating = 0.5 * (1 + rng.below(10)) as f64;
-        let user_ann = anns
-            .by_name(&format!("u{user}"))
-            .ok_or_else(|| ProxError::internal("synthetic user annotation missing"))?;
-        let movie_ann = anns
-            .by_name(&format!("m{movie}"))
-            .ok_or_else(|| ProxError::internal("synthetic movie annotation missing"))?;
-        let tensor = Tensor::new(Polynomial::var(user_ann), AggValue::single(rating));
+        let user = rng.below(tensors.len());
+        let movie = movies[rng.below(movies.len())];
+        let tensor = &mut tensors[user];
+        tensor.value = AggValue::single(0.5 * (1 + rng.below(10)) as f64);
         let n = base + u64::from(i < extra);
-        builder.append(movie_ann, &tensor, n)?;
+        builder.append(movie, tensor, n)?;
     }
     let summary = builder.finish()?;
     Ok(SynthReport {

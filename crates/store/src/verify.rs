@@ -11,7 +11,6 @@
 //! under `PROX_FAULT=corrupt` bits are flipped — CI uses this to assert
 //! that injected damage is actually detected.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 use prox_obs::store_metrics::BYTES_READ;
@@ -21,7 +20,7 @@ use prox_robust::{fault, ProxError};
 use crate::builder::{ANNS_FILE, LOG_ENTRY_BYTES, LOG_FILE, LOG_MAGIC};
 use crate::codec::{decode_annstore, END_MAGIC};
 use crate::reader::read_info;
-use crate::segment::{parse_index, verify_segment, FOOTER_BYTES};
+use crate::segment::{verify_segment, FOOTER_BYTES};
 
 /// What a successful verification pass covered.
 #[derive(Clone, Copy, Debug, Default)]
@@ -72,41 +71,44 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
         ..VerifyReport::default()
     };
 
-    let ann_bytes = read_file(dir, ANNS_FILE)?;
-    report.bytes_checked += ann_bytes.len() as u64;
-    let anns = decode_annstore(&ann_bytes)?;
-    if anns.len() as u64 != info.annotations {
+    // Decoding checks the table; only its size outlives this block.
+    let annotations = {
+        let ann_bytes = read_file(dir, ANNS_FILE)?;
+        report.bytes_checked += ann_bytes.len() as u64;
+        decode_annstore(&ann_bytes)?.len() as u64
+    };
+    if annotations != info.annotations {
         return Err(ProxError::corrupt(
             "store verify",
             format!(
-                "manifest says {} annotations, anns.bin holds {}",
-                info.annotations,
-                anns.len()
+                "manifest says {} annotations, anns.bin holds {annotations}",
+                info.annotations
             ),
         ));
     }
 
-    let mut fps: BTreeSet<u64> = BTreeSet::new();
+    // Every segment's fingerprints, sorted below for the log's lookups.
+    let mut fps: Vec<u64> = Vec::new();
     for seg in &info.segments {
         let bytes = read_file(dir, &seg.file)?;
         report.bytes_checked += bytes.len() as u64;
-        let check = verify_segment(&bytes, seg.shard)?;
-        if check.frames != seg.frames {
+        let index = verify_segment(&bytes, seg.shard)?;
+        let frames = index.len() as u64;
+        if frames != seg.frames {
             return Err(ProxError::corrupt(
                 "store verify",
                 format!(
-                    "{}: manifest says {} frames, segment holds {}",
-                    seg.file, seg.frames, check.frames
+                    "{}: manifest says {} frames, segment holds {frames}",
+                    seg.file, seg.frames
                 ),
             ));
         }
-        for e in parse_index(&bytes, seg.shard)? {
-            fps.insert(e.fp);
-        }
+        fps.extend(index.iter().map(|e| e.fp));
         report.segments += 1;
-        report.frames += check.frames;
-        report.payload_bytes += check.payload_bytes;
+        report.frames += frames;
+        report.payload_bytes += index.iter().map(|e| u64::from(e.len)).sum::<u64>();
     }
+    fps.sort_unstable();
     if report.frames != info.unique {
         return Err(ProxError::corrupt(
             "store verify",
@@ -163,7 +165,7 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
         let fp = u64::from_le_bytes(a);
         a.copy_from_slice(&rec[8..]);
         logical += u64::from_le_bytes(a);
-        if !fps.contains(&fp) {
+        if fps.binary_search(&fp).is_err() {
             return Err(corrupt(format!(
                 "record references fingerprint {fp:016x} missing from every segment"
             )));

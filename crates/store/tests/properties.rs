@@ -10,9 +10,10 @@
 //! the decoded object and size, canonical or not; truncated frames and
 //! checksum-damaged blobs are typed [`prox_robust::ProxError`]s — never
 //! panics; a `PROX_FAULT=corrupt` read path degrades to typed errors;
-//! same-seed synthetic builds are byte-identical on disk; and a selected
-//! fold keeps exactly the selection an oracle cuts from the full record
-//! stream, with the reads of an unselected one.
+//! same-seed synthetic builds are byte-identical on disk, and quick
+//! builds write pinned bytes; and a selected fold keeps exactly the
+//! selection an oracle cuts from the full record stream, with the reads
+//! of an unselected one.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -430,6 +431,89 @@ fn same_seed_builds_are_byte_identical() {
     assert!(expr.num_objects() > 0);
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// `fnv64` of every file `build_synthetic` writes for `SynthSpec::quick`
+/// at two seeds. A same-tree comparison passes whatever the generator
+/// draws and however the builder encodes; these pins fail when the draw
+/// order, the frame encoding or any file layout moves.
+const QUICK_STORE_FILES: [(u64, [(&str, u64); 19]); 2] = [
+    (
+        2016,
+        [
+            ("anns.bin", 0x20b3_2c3c_1a0f_87f4),
+            ("log.bin", 0x037d_7934_12d3_3071),
+            ("seg-00.seg", 0xf908_6486_cea7_dbd3),
+            ("seg-01.seg", 0x87d6_e945_bb4f_13d6),
+            ("seg-02.seg", 0x0e27_90b9_d8c8_72fa),
+            ("seg-03.seg", 0xcb0f_9d35_9651_a2ef),
+            ("seg-04.seg", 0xd023_2170_88ea_5627),
+            ("seg-05.seg", 0xb0fa_9a66_1255_ad4b),
+            ("seg-06.seg", 0x8470_27b9_478d_3ead),
+            ("seg-07.seg", 0xd02e_7787_a5f5_9d15),
+            ("seg-08.seg", 0x1b48_6da5_0003_f341),
+            ("seg-09.seg", 0xb743_9539_ceaa_7c4d),
+            ("seg-0a.seg", 0xc69b_fe27_fdfa_8fc9),
+            ("seg-0b.seg", 0x0b03_3452_91e4_37b4),
+            ("seg-0c.seg", 0x771c_a161_6c15_f216),
+            ("seg-0d.seg", 0x5590_a9c4_4444_5fdc),
+            ("seg-0e.seg", 0x54b8_2572_1274_3fdb),
+            ("seg-0f.seg", 0x1531_f014_ceac_b348),
+            ("store.json", 0x032a_0154_8254_a180),
+        ],
+    ),
+    (
+        7777,
+        [
+            ("anns.bin", 0x3602_40e2_f616_01c1),
+            ("log.bin", 0xa2f8_23c5_01a1_7e17),
+            ("seg-00.seg", 0x4859_62fc_232a_18a2),
+            ("seg-01.seg", 0x79bd_063a_81e1_36eb),
+            ("seg-02.seg", 0x610d_229e_ca27_8b72),
+            ("seg-03.seg", 0x885e_4743_cbdc_5fce),
+            ("seg-04.seg", 0x6c0f_216c_fba9_7887),
+            ("seg-05.seg", 0xaff6_ec19_d626_0b23),
+            ("seg-06.seg", 0x21bf_efc6_8dc9_ce2c),
+            ("seg-07.seg", 0xd841_cc87_a50f_ff47),
+            ("seg-08.seg", 0x797d_d26c_0b7a_1f5d),
+            ("seg-09.seg", 0x4f24_7666_45f4_28a7),
+            ("seg-0a.seg", 0xa868_5136_fa12_b068),
+            ("seg-0b.seg", 0xd79e_5a96_3808_371c),
+            ("seg-0c.seg", 0xec83_d51d_3bbc_581f),
+            ("seg-0d.seg", 0x5ed2_c83a_1e8f_bbee),
+            ("seg-0e.seg", 0x893c_9848_24f9_c372),
+            ("seg-0f.seg", 0x69ef_10f0_39fa_7e72),
+            ("store.json", 0xe2af_b475_2408_d26e),
+        ],
+    ),
+];
+
+/// Synthetic quick builds write exactly the pinned files, byte for byte.
+#[test]
+fn quick_builds_write_the_pinned_bytes() {
+    let _clean = FaultGuard::disabled();
+    for (seed, files) in QUICK_STORE_FILES {
+        let dir = scratch(&format!("pinned-{seed}")).expect("scratch dir is removable");
+        build_synthetic(&dir, &SynthSpec::quick(seed)).expect("quick build succeeds");
+        let mut written: Vec<(String, u64)> = std::fs::read_dir(&dir)
+            .expect("store dir lists")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let bytes = std::fs::read(e.path()).expect("store file reads");
+                (e.file_name().to_string_lossy().into_owned(), fnv64(&bytes))
+            })
+            .collect();
+        written.sort();
+        let pinned: Vec<(String, u64)> = files
+            .iter()
+            .map(|&(name, fp)| (name.to_owned(), fp))
+            .collect();
+        assert_eq!(
+            written, pinned,
+            "seed {seed}: the files a quick build writes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Open the store at `dir`; test helpers panic with the error.

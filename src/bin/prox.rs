@@ -57,7 +57,13 @@
 //!
 //! Observability: `--trace <path>` (or `PROX_TRACE=<path>`) writes a JSONL
 //! span trace; either also enables the counters/spans behind `stats`.
+//!
+//! Every stdout write goes through `out`. A reader that closes stdout
+//! early (`prox store stat <dir> --sample 3 | head -5`) has what it
+//! wanted: the subcommands that print a report stop and exit 0, and
+//! `serve` drops its banner lines and keeps serving.
 
+use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
@@ -639,29 +645,34 @@ fn serve(args: &[String]) -> Result<(), ProxError> {
         } else {
             prox_obs::prof::enable_interval(std::time::Duration::from_millis(1));
         }
-        println!("profiling to {path} (folded stacks, written on shutdown)");
+        banner(format_args!(
+            "profiling to {path} (folded stacks, written on shutdown)"
+        ));
     }
     prox_serve::install_signal_handlers();
     let has_store = config.store_dir.is_some();
     let handle = prox_serve::Server::start(config)?;
-    println!("prox-serve listening on http://{}", handle.addr());
-    println!(
+    banner(format_args!(
+        "prox-serve listening on http://{}",
+        handle.addr()
+    ));
+    banner(
         "endpoints: POST /summarize | POST /provision | GET /datasets | \
-         GET /healthz | GET /metrics | GET /metrics.json | GET /debug/traces[/<id>]"
+         GET /healthz | GET /metrics | GET /metrics.json | GET /debug/traces[/<id>]",
     );
     if has_store {
-        println!("store endpoints: POST /summarize/store | GET /store/stats");
+        banner("store endpoints: POST /summarize/store | GET /store/stats");
     }
     let shutdown = handle.shutdown_flag();
     while !prox_serve::signalled() && !shutdown.is_cancelled() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    println!("shutting down: draining admitted connections");
+    banner("shutting down: draining admitted connections");
     handle.shutdown();
     if let Some(path) = &profile {
         prox_obs::prof::disable();
         match prox_obs::prof::write_folded(path) {
-            Ok(()) => println!("profile (folded stacks) written to {path}"),
+            Ok(()) => banner(format_args!("profile (folded stacks) written to {path}")),
             Err(e) => eprintln!("cannot write profile {path}: {e}"),
         }
     }
@@ -700,7 +711,41 @@ fn bench_diff(args: &[String]) -> i32 {
     prox_bench::diff::run_diff(baseline, current, &out)
 }
 
-fn demo() {
+/// Write `text` to stdout and flush: the CLI's one stdout writer.
+/// Unlike `print!`, which panics when the reader has gone, it hands a
+/// failed write back to the caller.
+fn out(text: fmt::Arguments<'_>) -> io::Result<()> {
+    let mut stdout = io::stdout().lock();
+    stdout.write_fmt(text)?;
+    stdout.flush()
+}
+
+/// [`out`] one line.
+fn say(text: impl fmt::Display) -> io::Result<()> {
+    out(format_args!("{text}\n"))
+}
+
+/// A `serve` status line. The server's work is its socket, not its
+/// stdout: a line that cannot be written is dropped.
+fn banner(text: impl fmt::Display) {
+    let _ = say(text);
+}
+
+/// End the run if writing its output failed. A reader that closed stdout
+/// early has what it wanted, so a broken pipe exits 0 without a word;
+/// any other failed write is an I/O error and exits with its code.
+fn exit_if_unwritten(written: io::Result<()>) {
+    let Err(e) = written else { return };
+    prox_obs::flush_sink();
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    let e = ProxError::io("write to stdout", &e);
+    eprintln!("error: {e}");
+    std::process::exit(e.kind().exit_code());
+}
+
+fn demo() -> io::Result<()> {
     let mut app = App::new();
     let script = [
         "all",
@@ -716,12 +761,37 @@ fn demo() {
         "stats",
     ];
     for cmd in script {
-        println!("prox> {cmd}");
+        say(format_args!("prox> {cmd}"))?;
         match app.dispatch(cmd) {
-            Some(out) => println!("{out}"),
+            Some(out) => say(out)?,
             None => break,
         }
     }
+    Ok(())
+}
+
+/// The interactive shell, until `quit` or the end of stdin.
+fn shell() -> io::Result<()> {
+    say("PROX — approximated summarization of data provenance")?;
+    say(HELP)?;
+    let stdin = io::stdin();
+    let mut app = App::new();
+    loop {
+        out(format_args!("prox> "))?;
+        let mut line = String::new();
+        if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
+            break;
+        }
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match app.dispatch(line) {
+            Some(out) => say(out)?,
+            None => break,
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -743,7 +813,7 @@ fn main() {
     prox_robust::fault::init_from_env();
 
     if args.first().map(String::as_str) == Some("demo") {
-        demo();
+        exit_if_unwritten(demo());
         prox_obs::flush_sink();
         return;
     }
@@ -759,7 +829,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("store") {
         match store_cmd(&args[1..]) {
             Ok(report) => {
-                println!("{report}");
+                exit_if_unwritten(say(report));
                 prox_obs::flush_sink();
             }
             Err(e) => {
@@ -784,7 +854,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("summarize") {
         match one_shot_summarize(&args[1..]) {
             Ok(report) => {
-                println!("{report}");
+                exit_if_unwritten(say(report));
                 prox_obs::flush_sink();
             }
             Err(e) => {
@@ -795,25 +865,6 @@ fn main() {
         }
         return;
     }
-    println!("PROX — approximated summarization of data provenance");
-    println!("{HELP}");
-    let stdin = io::stdin();
-    let mut app = App::new();
-    loop {
-        print!("prox> ");
-        io::stdout().flush().ok();
-        let mut line = String::new();
-        if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match app.dispatch(line) {
-            Some(out) => println!("{out}"),
-            None => break,
-        }
-    }
+    exit_if_unwritten(shell());
     prox_obs::flush_sink();
 }
