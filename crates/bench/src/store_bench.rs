@@ -71,7 +71,7 @@ pub fn store_experiment(scale: Scale, manifest: &mut RunManifest) -> Result<(), 
         )));
     }
 
-    let mut anns = store.anns().clone();
+    let mut anns = store.overlay();
     let config = SummarizeConfig {
         max_steps: SUMMARY_STEPS,
         ..SummarizeConfig::default()

@@ -6,6 +6,7 @@
 //! attribute values that drive semantic mapping constraints.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an interned annotation inside an [`crate::store::AnnStore`].
 ///
@@ -116,8 +117,9 @@ impl AnnKind {
 /// Full record for one annotation.
 #[derive(Clone, Debug)]
 pub struct Annotation {
-    /// Human-readable name ("UID245", "Female", "wordnet_singer").
-    pub name: String,
+    /// Human-readable name ("UID245", "Female", "wordnet_singer"), one
+    /// allocation shared with its store's name index.
+    pub name: Arc<str>,
     /// Domain used for the same-table mapping constraint.
     pub domain: DomainId,
     /// Attribute values of the underlying tuple, sorted by attribute id.

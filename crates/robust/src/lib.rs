@@ -35,7 +35,7 @@ pub mod fault;
 pub mod rng;
 
 pub use backoff::Backoff;
-pub use budget::{BudgetSession, BudgetStop, CancelFlag, ExecutionBudget};
+pub use budget::{BudgetSession, BudgetStop, CancelFlag, ExecutionBudget, CLOCK_STRIDE};
 pub use error::{ErrorKind, ProxError};
 pub use fault::{FaultGuard, FaultPlan, FaultSite};
 pub use rng::DetRng;

@@ -66,6 +66,9 @@ static REQUESTS: Counter = Counter::new("serve/requests");
 static ERRORS: Counter = Counter::new("serve/errors");
 /// One observed request end to end; the root of its trace ("request").
 static SPAN_REQUEST: SpanTimer = SpanTimer::new("serve/request");
+/// A `/summarize/store` read's fold of the store ("store_fold"), noted
+/// with the log records, frames and page misses it read.
+static SPAN_STORE_FOLD: SpanTimer = SpanTimer::new("serve/store_fold");
 
 /// Shared per-server state handed to every worker.
 pub struct ServiceCtx {
@@ -831,11 +834,21 @@ fn store_summarize_route(
     // The store guard is scoped to the fold and dropped before the
     // summarizer runs and before the response cache is touched again:
     // cache and store locks are never held together, in either order.
+    // The run's summary annotations go in an overlay over the store's
+    // annotation table, which no read copies.
     let mut session = budget.start();
     let (fold, mut anns) = {
         let mut store = lock(&state.store);
+        let span = SPAN_STORE_FOLD.enter(trace);
+        let misses = store.cache_stats().misses;
         let fold = store.fold(&mut session, params.objects)?;
-        (fold, store.anns().clone())
+        if let Some(t) = trace {
+            t.note("records", fold.outcome.records_seen);
+            t.note("frames", fold.frames);
+            t.note("page_misses", store.cache_stats().misses - misses);
+        }
+        span.finish();
+        (fold, store.overlay())
     };
     let config = SummarizeConfig {
         w_dist: params.w_dist,

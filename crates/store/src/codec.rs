@@ -17,7 +17,9 @@
 //! A frame payload is read by one walk of its grammar, which makes every
 //! check. [`decode_entry`] builds the tensor along the walk;
 //! [`skim_entry`] only sums its size, without allocating, for the frames
-//! a selected fold reads but does not keep.
+//! a selected fold reads but does not keep. A plain payload (one
+//! canonical term, no guards) the skim reads at fixed offsets instead,
+//! making the walk's checks for that shape.
 
 use prox_obs::{fnv64, Json, FNV_OFFSET};
 use prox_provenance::{AggValue, AnnId, AnnStore, CmpOp, Guard, Monomial, Polynomial, Tensor};
@@ -95,23 +97,37 @@ impl<'a> Dec<'a> {
         }
     }
 
+    // The errors are built by functions of their own, kept out of line,
+    // so the checks a frame walk makes on every field stay small.
+    #[cold]
+    #[inline(never)]
     fn corrupt(&self, detail: impl Into<String>) -> ProxError {
         ProxError::corrupt(self.context, detail)
     }
 
+    #[cold]
+    #[inline(never)]
+    fn short(&self, n: usize) -> ProxError {
+        if self.pos.checked_add(n).is_none() {
+            return self.corrupt("length overflow");
+        }
+        self.corrupt(format!(
+            "truncated: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.buf.len().saturating_sub(self.pos)
+        ))
+    }
+
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProxError> {
-        let end = self
+        let Some(slice) = self
             .pos
             .checked_add(n)
-            .ok_or_else(|| self.corrupt("length overflow"))?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| {
-            self.corrupt(format!(
-                "truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len().saturating_sub(self.pos)
-            ))
-        })?;
-        self.pos = end;
+            .and_then(|end| self.buf.get(self.pos..end))
+        else {
+            return Err(self.short(n));
+        };
+        self.pos += n;
         Ok(slice)
     }
 
@@ -244,12 +260,18 @@ pub fn encode_entry_into(out: &mut Vec<u8>, object: AnnId, t: &Tensor) {
 fn decode_ann(dec: &mut Dec<'_>, max_ann: usize) -> Result<AnnId, ProxError> {
     let ix = dec.u32()? as usize;
     if ix >= max_ann {
-        return Err(ProxError::corrupt(
-            "store frame",
-            format!("annotation id {ix} out of range (store has {max_ann})"),
-        ));
+        return Err(ann_out_of_range(ix, max_ann));
     }
     Ok(AnnId::from_index(ix))
+}
+
+#[cold]
+#[inline(never)]
+fn ann_out_of_range(ix: usize, max_ann: usize) -> ProxError {
+    ProxError::corrupt(
+        "store frame",
+        format!("annotation id {ix} out of range (store has {max_ann})"),
+    )
 }
 
 /// One monomial's factor ids as they sit in a frame payload: `4 × n`
@@ -412,8 +434,17 @@ impl<'a> FrameVisitor<'a> for Skim<'a> {
 /// [`decode_entry`]'s object and tensor size, from the same checks, but
 /// without building the tensor: no allocation unless a polynomial is out
 /// of normal form, in which case the payload is decoded to count what
-/// normalizing leaves.
+/// normalizing leaves. A payload of the shape nearly every frame has is
+/// checked by [`skim_plain`] instead of the grammar walk.
 pub fn skim_entry(payload: &[u8], max_ann: usize) -> Result<(AnnId, usize), ProxError> {
+    match skim_plain(payload, max_ann) {
+        Some(skim) => Ok(skim),
+        None => skim_walk(payload, max_ann),
+    }
+}
+
+/// [`skim_entry`] by the grammar walk, for any payload.
+fn skim_walk(payload: &[u8], max_ann: usize) -> Result<(AnnId, usize), ProxError> {
     let mut skim = Skim {
         size: 0,
         prev: None,
@@ -425,6 +456,40 @@ pub fn skim_entry(payload: &[u8], max_ann: usize) -> Result<(AnnId, usize), Prox
     }
     let (object, tensor) = decode_entry(payload, max_ann)?;
     Ok((object, tensor.size()))
+}
+
+/// The skim of a *plain* payload, one canonical term and no guards, read
+/// at fixed offsets: object, term count 1, degree `d`, `d` factor ids in
+/// ascending order, a nonzero coefficient, guard count 0, value and
+/// count, and nothing after. On such a payload the grammar walk makes
+/// the same checks and returns the same object and size `d`. `None`
+/// sends every other payload, malformed ones included, to the walk,
+/// which then returns the result or the error.
+fn skim_plain(payload: &[u8], max_ann: usize) -> Option<(AnnId, usize)> {
+    let word = |at: usize| {
+        let b = payload.get(at..at.checked_add(4)?)?;
+        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+    };
+    let object = word(0)?;
+    let degree = word(8)?;
+    let coeff_at = degree.checked_mul(4)?.checked_add(12)?;
+    let plain_len = coeff_at.checked_add(8 + 4 + 8 + 8)?;
+    if word(4)? != 1 || object >= max_ann || payload.len() != plain_len {
+        return None;
+    }
+    let coeff = &payload[coeff_at..coeff_at + 8];
+    if coeff.iter().all(|&b| b == 0) || word(coeff_at + 8)? != 0 {
+        return None;
+    }
+    let mut prev = 0;
+    for id in payload[12..coeff_at].chunks_exact(4) {
+        let id = u32::from_le_bytes([id[0], id[1], id[2], id[3]]) as usize;
+        if id >= max_ann || id < prev {
+            return None;
+        }
+        prev = id;
+    }
+    Some((AnnId::from_index(object), degree))
 }
 
 /// The object id a frame payload starts with, unchecked: enough to
@@ -482,9 +547,11 @@ pub fn encode_annstore(store: &AnnStore) -> Result<Vec<u8>, ProxError> {
     Ok(out)
 }
 
-/// Decode `anns.bin`, verifying magic and checksum. Rebuilding through
-/// [`AnnStore::add_base_with`] re-interns every string, so decoded ids
-/// are sequential and equal to the encoded ones.
+/// Decode `anns.bin`, verifying magic and checksum. Interning every
+/// string in the order it is written makes decoded ids sequential and
+/// equal to the encoded ones. Strings are interned straight from the
+/// blob, so an annotation costs two allocations: its name, and its
+/// attribute list when it has one.
 pub fn decode_annstore(bytes: &[u8]) -> Result<AnnStore, ProxError> {
     const CTX: &str = "annotation store (anns.bin)";
     if bytes.len() < 24 || &bytes[..8] != ANN_MAGIC {
@@ -509,25 +576,21 @@ pub fn decode_annstore(bytes: &[u8]) -> Result<AnnStore, ProxError> {
     let n = dec.len_field("annotation")?;
     let mut store = AnnStore::new();
     for _ in 0..n {
-        let name = dec.str()?.to_string();
-        let domain = dec.str()?.to_string();
+        let name = dec.str()?;
+        let domain = store.domain(dec.str()?);
         let n_attrs = dec.len_field("attribute")?;
         let mut attrs = Vec::with_capacity(n_attrs.min(64));
         for _ in 0..n_attrs {
-            let a = dec.str()?.to_string();
-            let v = dec.str()?.to_string();
-            attrs.push((a, v));
+            let attr = store.attr(dec.str()?);
+            let value = store.value(dec.str()?);
+            attrs.push((attr, value));
         }
         let concept = if dec.u8()? == 1 {
             Some(dec.u32()?)
         } else {
             None
         };
-        let attr_refs: Vec<(&str, &str)> = attrs
-            .iter()
-            .map(|(a, v)| (a.as_str(), v.as_str()))
-            .collect();
-        let id = store.add_base_with(&name, &domain, &attr_refs);
+        let id = store.add_base(name, domain, attrs);
         if let Some(c) = concept {
             store.set_concept(id, c);
         }
@@ -605,3 +668,123 @@ pub fn entry_fingerprint(object: AnnId, t: &Tensor) -> u64 {
 
 /// Seed value for incremental checksums (re-exported for writers).
 pub const CHECKSUM_SEED: u64 = FNV_OFFSET;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prox_provenance::AggValue;
+    use prox_robust::DetRng;
+
+    const MAX_ANN: usize = 16;
+
+    /// A plain entry: one canonical term of degree 0–4 and no guards.
+    fn plain_payload(rng: &mut DetRng) -> Vec<u8> {
+        let factors = (0..rng.below(5))
+            .map(|_| AnnId::from_index(rng.below(MAX_ANN)))
+            .collect();
+        let term = (Monomial::from_factors(factors), 1 + rng.below(5) as u64);
+        let tensor = Tensor::new(
+            Polynomial::from_terms([term]),
+            AggValue::new(rng.below(100) as f64, 1),
+        );
+        encode_entry(AnnId::from_index(rng.below(MAX_ANN)), &tensor)
+    }
+
+    /// Hand-made payloads near the plain shape: `(object, terms, guard
+    /// count, trailing bytes)`, each term `(factor ids, coefficient)`.
+    fn raw_payload(object: u32, terms: &[(&[u32], u64)], guards: u32, trailing: usize) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.put_u32(object);
+        enc.put_u32(terms.len() as u32);
+        for (factors, coeff) in terms {
+            enc.put_u32(factors.len() as u32);
+            for &id in *factors {
+                enc.put_u32(id);
+            }
+            enc.put_u64(*coeff);
+        }
+        enc.put_u32(guards);
+        enc.put_f64(2.5);
+        enc.put_u64(1);
+        let mut out = enc.into_bytes();
+        out.extend(std::iter::repeat_n(0, trailing));
+        out
+    }
+
+    /// Wherever the plain skim answers, the grammar walk gives the same
+    /// object and size; wherever it declines, `skim_entry` is the walk,
+    /// result or error.
+    fn agrees(payload: &[u8], case: &str) -> bool {
+        let walked = skim_walk(payload, MAX_ANN);
+        let plain = skim_plain(payload, MAX_ANN);
+        if let Some(skim) = plain {
+            assert_eq!(walked.as_ref().ok(), Some(&skim), "{case}");
+        }
+        match (skim_entry(payload, MAX_ANN), walked) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{case}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{case}"),
+            (a, b) => panic!("{case}: skim {a:?}, walk {b:?}"),
+        }
+        plain.is_some()
+    }
+
+    #[test]
+    fn plain_skim_agrees_with_the_walk() {
+        let mut rng = DetRng::new(0x5c1a_9e00);
+        let mut plain = 0;
+        for case in 0..200 {
+            let payload = plain_payload(&mut rng);
+            assert!(
+                agrees(&payload, &format!("round trip {case}")),
+                "case {case} is plain"
+            );
+            plain += 1;
+            for cut in 0..payload.len() {
+                agrees(&payload[..cut], &format!("case {case} cut at {cut}"));
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                plain += usize::from(agrees(&flipped, &format!("case {case} bit {bit}")));
+            }
+        }
+        assert!(plain > 200, "bit flips in values keep payloads plain");
+    }
+
+    #[test]
+    fn plain_skim_declines_what_is_not_plain() {
+        let cases: [(&str, Vec<u8>, bool); 9] = [
+            ("plain", raw_payload(3, &[(&[1, 2, 2], 4)], 0, 0), true),
+            ("no factors", raw_payload(3, &[(&[], 1)], 0, 0), true),
+            (
+                "unsorted factors",
+                raw_payload(3, &[(&[2, 1], 4)], 0, 0),
+                false,
+            ),
+            (
+                "zero coefficient",
+                raw_payload(3, &[(&[1], 0)], 0, 0),
+                false,
+            ),
+            (
+                "two terms",
+                raw_payload(3, &[(&[1], 1), (&[2], 1)], 0, 0),
+                false,
+            ),
+            ("no terms", raw_payload(3, &[], 0, 0), false),
+            ("a guard count", raw_payload(3, &[(&[1], 1)], 1, 0), false),
+            (
+                "factor out of range",
+                raw_payload(3, &[(&[99], 1)], 0, 0),
+                false,
+            ),
+            ("trailing byte", raw_payload(3, &[(&[1], 1)], 0, 1), false),
+        ];
+        for (case, payload, is_plain) in &cases {
+            assert_eq!(agrees(payload, case), *is_plain, "{case}");
+        }
+        let object_out_of_range = raw_payload(MAX_ANN as u32, &[(&[1], 1)], 0, 0);
+        assert!(!agrees(&object_out_of_range, "object out of range"));
+        assert!(skim_entry(&object_out_of_range, MAX_ANN).is_err());
+    }
+}

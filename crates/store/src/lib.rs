@@ -17,9 +17,13 @@
 //!   run-length list of fingerprints, so ten million logical
 //!   expressions over a hundred thousand distinct frames stay small.
 //! * **Paged reads** ([`pagecache`], [`reader`]) — frame loads go
-//!   through a bounded LRU page cache; scans poll their
-//!   [`prox_robust::BudgetSession`] before every page load, preserving
-//!   the anytime contract (budget trips return the partial fold).
+//!   through a bounded LRU page cache whose misses reuse the buffers of
+//!   the pages they evict; a frame inside one cached page is checked in
+//!   place. Scans poll their [`prox_robust::BudgetSession`] once per log
+//!   record, before the page loads that record makes: step budgets,
+//!   cancel flags and injected trips act on the exact record, and the
+//!   deadline is read every [`prox_robust::CLOCK_STRIDE`] records. A
+//!   budget trip returns the partial fold (the anytime contract).
 //! * **Verification** ([`verify`]) — an offline full-checksum pass with
 //!   typed [`prox_robust::ProxError::Corrupt`] errors, wired through the
 //!   `PROX_FAULT` harness.

@@ -4,9 +4,9 @@
 //! The cache holds at most `capacity_bytes` of page data; eviction is
 //! least-recently-used with deterministic tie-breaking (lowest key), so
 //! hit/miss counts — and therefore manifests — are byte-identical across
-//! same-seed runs. Keys and pages live in `BTreeMap`s, not `HashMap`s:
-//! iteration order feeds reports, and reports must be deterministic
-//! (lint rule L8).
+//! same-seed runs. Keys find their pages through a `BTreeMap`, not a
+//! `HashMap`: iteration order feeds reports, and reports must be
+//! deterministic (lint rule L8).
 
 use std::collections::BTreeMap;
 
@@ -26,6 +26,7 @@ pub struct PageKey {
 }
 
 struct Page {
+    key: PageKey,
     bytes: Vec<u8>,
     last_used: u64,
 }
@@ -57,8 +58,22 @@ impl CacheStats {
 }
 
 /// The bounded page cache.
+///
+/// Pages sit in slots, and a map from key to slot finds them. Each
+/// shard's last page is hinted beside the map: a scan reads each shard's
+/// file forward, so most lookups hit their shard's last page and skip
+/// the map. A miss reads its page into the buffer of the page it evicts
+/// ([`PageCache::make_room`]), so no page buffer lives outside the
+/// cache's ceiling.
 pub struct PageCache {
-    pages: BTreeMap<PageKey, Page>,
+    pages: Vec<Page>,
+    slots: BTreeMap<PageKey, usize>,
+    /// Per shard, the slot its last page was found or put in. Slots move
+    /// when a page is evicted, so a hint counts only when the page in
+    /// its slot has the key looked up.
+    hints: Vec<usize>,
+    /// The slot of the page looked up or inserted last.
+    last: usize,
     page_bytes: usize,
     capacity_bytes: usize,
     live_bytes: usize,
@@ -72,7 +87,10 @@ impl PageCache {
         // The ceiling must admit at least one page or nothing is cacheable.
         let capacity_bytes = capacity_bytes.max(page_bytes);
         PageCache {
-            pages: BTreeMap::new(),
+            pages: Vec::new(),
+            slots: BTreeMap::new(),
+            hints: Vec::new(),
+            last: usize::MAX,
             page_bytes,
             capacity_bytes,
             live_bytes: 0,
@@ -94,57 +112,106 @@ impl PageCache {
 
     /// Look a page up, refreshing its LRU stamp. A miss is counted here
     /// (callers immediately fault the page in via [`PageCache::insert`]).
+    /// A hit becomes the cache's last page.
     pub fn get(&mut self, key: PageKey) -> Option<&[u8]> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.pages.get_mut(&key) {
-            Some(page) => {
-                page.last_used = tick;
-                self.stats.hits += 1;
-                PAGE_HIT.incr();
-                Some(&page.bytes)
-            }
-            None => {
-                self.stats.misses += 1;
-                PAGE_MISS.incr();
-                None
-            }
+        let hint = self.hints.get(key.shard as usize).copied();
+        let slot = match hint.and_then(|slot| self.pages.get(slot)) {
+            Some(page) if page.key == key => hint,
+            _ => self.slots.get(&key).copied(),
+        };
+        let Some(slot) = slot else {
+            self.stats.misses += 1;
+            PAGE_MISS.incr();
+            return None;
+        };
+        self.note_last(key, slot);
+        let page = &mut self.pages[slot];
+        page.last_used = self.tick;
+        self.stats.hits += 1;
+        PAGE_HIT.incr();
+        Some(&page.bytes)
+    }
+
+    fn note_last(&mut self, key: PageKey, slot: usize) {
+        let shard = key.shard as usize;
+        if self.hints.len() <= shard {
+            self.hints.resize(shard + 1, usize::MAX);
         }
+        self.hints[shard] = slot;
+        self.last = slot;
+    }
+
+    /// The bytes of the page looked up or inserted last; empty before
+    /// the first.
+    pub fn last_page(&self) -> &[u8] {
+        self.pages.get(self.last).map_or(&[], |page| &page.bytes)
+    }
+
+    /// Evict least-recently-used pages until `incoming` more bytes fit
+    /// under the ceiling, and return a buffer for the incoming page: the
+    /// first evicted page's, stale bytes and all, or a new one with room
+    /// for a page when nothing was evicted. Later victims' buffers are
+    /// freed.
+    pub fn make_room(&mut self, incoming: usize) -> Vec<u8> {
+        let mut spare = None;
+        while self.live_bytes + incoming > self.capacity_bytes {
+            let Some(bytes) = self.evict_lru() else {
+                break;
+            };
+            spare.get_or_insert(bytes);
+        }
+        spare.unwrap_or_else(|| Vec::with_capacity(self.page_bytes))
     }
 
     /// Insert a freshly loaded page, evicting least-recently-used pages
-    /// until the ceiling holds. Returns a reference to the cached bytes.
+    /// until the ceiling holds (none after [`PageCache::make_room`] for
+    /// its size). The page becomes the cache's last. Returns a reference
+    /// to the cached bytes.
     pub fn insert(&mut self, key: PageKey, bytes: Vec<u8>) -> &[u8] {
         self.tick += 1;
         let incoming = bytes.len();
-        // Evict until the new page fits. The scan is O(pages), and the
-        // ceiling bounds pages to a small constant (capacity / page size).
-        while self.live_bytes + incoming > self.capacity_bytes && !self.pages.is_empty() {
-            let victim = self
-                .pages
-                .iter()
-                .min_by_key(|(k, p)| (p.last_used, **k))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some(p) = self.pages.remove(&k) {
-                        self.live_bytes -= p.bytes.len();
-                        self.stats.evictions += 1;
-                    }
-                }
-                None => break,
-            }
-        }
+        while self.live_bytes + incoming > self.capacity_bytes && self.evict_lru().is_some() {}
         self.live_bytes += incoming;
+        let slot = match self.slots.get(&key) {
+            Some(&slot) => {
+                let old = std::mem::replace(&mut self.pages[slot].bytes, bytes);
+                self.live_bytes -= old.len();
+                slot
+            }
+            None => {
+                self.pages.push(Page {
+                    key,
+                    bytes,
+                    last_used: 0,
+                });
+                self.slots.insert(key, self.pages.len() - 1);
+                self.pages.len() - 1
+            }
+        };
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.live_bytes as u64);
         self.stats.live_bytes = self.live_bytes as u64;
-        let tick = self.tick;
-        let entry = self.pages.entry(key).or_insert(Page {
-            bytes,
-            last_used: tick,
-        });
-        entry.last_used = tick;
-        &entry.bytes
+        self.note_last(key, slot);
+        let page = &mut self.pages[slot];
+        page.last_used = self.tick;
+        &page.bytes
+    }
+
+    /// Remove the least-recently-used page (ties to the lowest key) and
+    /// return its buffer. The scan is O(pages), and the ceiling bounds
+    /// pages to a small constant (capacity / page size).
+    fn evict_lru(&mut self) -> Option<Vec<u8>> {
+        let victim = (0..self.pages.len())
+            .min_by_key(|&slot| (self.pages[slot].last_used, self.pages[slot].key))?;
+        let page = self.pages.swap_remove(victim);
+        self.slots.remove(&page.key);
+        if let Some(moved) = self.pages.get(victim) {
+            self.slots.insert(moved.key, victim);
+        }
+        self.last = usize::MAX;
+        self.live_bytes -= page.bytes.len();
+        self.stats.evictions += 1;
+        Some(page.bytes)
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -184,6 +251,114 @@ mod tests {
         assert!(c.get(key(0, 0)).is_some());
         assert!(c.get(key(0, 1)).is_none());
         assert!(c.get(key(0, 2)).is_some());
+    }
+
+    #[test]
+    fn a_miss_reads_into_the_page_it_evicts() {
+        let mut c = PageCache::new(1024, 2048);
+        for page in 0..2 {
+            let mut buf = c.make_room(1024);
+            assert_eq!(buf.capacity(), 1024, "a fresh buffer holds one page");
+            buf.resize(1024, page as u8);
+            c.insert(key(0, page), buf);
+        }
+        let lru = c.get(key(0, 0)).map(<[u8]>::as_ptr);
+        assert!(c.get(key(0, 1)).is_some());
+        let buf = c.make_room(1024);
+        assert_eq!(Some(buf.as_ptr()), lru, "page 0 was least recently used");
+        assert_eq!(c.stats().evictions, 1);
+        c.insert(key(0, 2), buf);
+        assert!(c.get(key(0, 0)).is_none());
+        assert!(c.stats().peak_bytes <= 2048);
+    }
+
+    /// The cache before slots and buffer reuse: every page in a
+    /// `BTreeMap`, every lookup through it, each miss's page inserted
+    /// and then made room for.
+    #[derive(Default)]
+    struct Reference {
+        pages: BTreeMap<PageKey, (Vec<u8>, u64)>,
+        live: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn get(&mut self, key: PageKey) -> Option<&[u8]> {
+            self.tick += 1;
+            match self.pages.get_mut(&key) {
+                Some((bytes, used)) => {
+                    *used = self.tick;
+                    self.stats.hits += 1;
+                    Some(bytes)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: PageKey, bytes: Vec<u8>, capacity: usize) {
+            self.tick += 1;
+            while self.live + bytes.len() > capacity && !self.pages.is_empty() {
+                let victim = self
+                    .pages
+                    .iter()
+                    .min_by_key(|(k, (_, used))| (*used, **k))
+                    .map(|(k, _)| *k);
+                if let Some((old, _)) = victim.and_then(|k| self.pages.remove(&k)) {
+                    self.live -= old.len();
+                    self.stats.evictions += 1;
+                }
+            }
+            self.live += bytes.len();
+            self.stats.peak_bytes = self.stats.peak_bytes.max(self.live as u64);
+            self.pages.insert(key, (bytes, self.tick));
+        }
+    }
+
+    #[test]
+    fn slots_count_and_evict_as_the_map_did() {
+        let (page_bytes, capacity) = (512, 4096);
+        let mut rng = prox_robust::DetRng::new(0x9a6e);
+        let mut cache = PageCache::new(page_bytes, capacity);
+        let mut reference = Reference::default();
+        for step in 0..20_000 {
+            // Runs of lookups within one page, as a scan makes them, over
+            // pages of which the last of each shard is short.
+            let k = key(rng.below(4) as u8, rng.below(16) as u64);
+            let len = if k.page == 15 {
+                100 + 40 * k.shard as usize
+            } else {
+                page_bytes
+            };
+            let page: Vec<u8> = (0..len).map(|i| (i as u64 ^ k.page) as u8).collect();
+            for _ in 0..1 + rng.below(3) {
+                let got = cache.get(k).map(<[u8]>::to_vec);
+                assert_eq!(got.as_deref(), reference.get(k), "step {step}");
+                if got.is_none() {
+                    let mut buf = cache.make_room(len);
+                    buf.clear();
+                    buf.extend_from_slice(&page);
+                    assert_eq!(cache.insert(k, buf), &page[..], "step {step}");
+                    reference.insert(k, page.clone(), capacity);
+                }
+                assert_eq!(cache.last_page(), &page[..], "step {step}");
+            }
+            let (a, b) = (cache.stats(), reference.stats);
+            assert_eq!(
+                (a.hits, a.misses, a.evictions, a.peak_bytes, a.live_bytes),
+                (
+                    b.hits,
+                    b.misses,
+                    b.evictions,
+                    b.peak_bytes,
+                    reference.live as u64
+                ),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

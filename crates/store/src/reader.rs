@@ -5,20 +5,24 @@
 //! and the per-segment offset indexes; frame payloads stay on disk and
 //! are faulted in page-by-page through the bounded [`PageCache`], so a
 //! store far larger than memory can be summarized under a fixed cache
-//! ceiling. Every scan loop polls its [`BudgetSession`] — deadlines,
-//! step budgets, and cancel flags all interrupt a scan between page
-//! loads, and the partial fold is returned as the anytime best-so-far.
+//! ceiling. Every scan polls its [`BudgetSession`] once per log record,
+//! before the page loads that record makes: step budgets, cancel flags
+//! and injected trips interrupt a scan at the exact record, and the
+//! deadline is read every [`prox_robust::CLOCK_STRIDE`] records. The
+//! partial fold is returned as the anytime best-so-far.
 //!
 //! Every frame read goes one way: the log's fingerprint is located
-//! through a bucket directory over the sorted index, and the frame is
-//! copied from its pages into one reused buffer, where its length and
-//! checksum are checked. A fold then decodes the payload if it keeps the
-//! frame's object and skims it otherwise.
+//! through a bucket directory over the sorted index, and the frame's
+//! length, header and checksum are checked where it lies in its cached
+//! page, or, when it straddles pages or the fault harness is armed, in
+//! one reused buffer it is copied into. A fold then decodes the payload
+//! if it keeps the frame's object and skims it otherwise.
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use prox_obs::store_metrics::BYTES_READ;
 use prox_obs::{fnv64, fnv64_update, Json, FNV_OFFSET};
@@ -165,6 +169,9 @@ pub struct Fold {
     pub selection: ProvExpr,
     /// Distinct objects over every frame read, selected or not.
     pub objects: usize,
+    /// Distinct frames read: each is read once, however often the log
+    /// repeats it.
+    pub frames: usize,
     /// Provenance size (annotation occurrences) over every frame read:
     /// the `size()` of what [`SegmentStore::collect`] returns.
     pub size: usize,
@@ -301,14 +308,26 @@ impl FrameIndex {
 pub struct SegmentStore {
     dir: PathBuf,
     info: StoreInfo,
-    anns: AnnStore,
-    files: BTreeMap<u8, File>,
+    /// Decoded once at open; every read's summary annotations go in an
+    /// overlay over it ([`SegmentStore::overlay`]).
+    anns: Arc<AnnStore>,
+    files: BTreeMap<u8, SegFile>,
     index: FrameIndex,
     cache: PageCache,
     bytes_read: u64,
-    /// The frame last read, reused by every read.
+    /// The frame last copied, reused by every read that copies.
     frame: Vec<u8>,
 }
+
+/// An open segment file and its length at open.
+struct SegFile {
+    file: File,
+    len: u64,
+}
+
+/// Bytes a frame adds to its payload: the `u32` length before it and the
+/// `u64` checksum after it.
+const FRAME_OVERHEAD: usize = 4 + 8;
 
 impl SegmentStore {
     /// Open a store with the default page size and cache ceiling.
@@ -347,9 +366,9 @@ impl SegmentStore {
             let path = dir.join(&seg.file);
             let mut file = File::open(&path)
                 .map_err(|e| ProxError::io(format!("open {}", path.display()), &e))?;
-            let read = load_segment_index(&mut file, seg.shard, &mut index)?;
+            let (read, len) = load_segment_index(&mut file, seg.shard, &mut index)?;
             bytes_read += read;
-            files.insert(seg.shard, file);
+            files.insert(seg.shard, SegFile { file, len });
         }
         let index = FrameIndex::new(index)?;
         if index.len() as u64 != info.unique {
@@ -365,7 +384,7 @@ impl SegmentStore {
         Ok(SegmentStore {
             dir: dir.to_path_buf(),
             info,
-            anns,
+            anns: Arc::new(anns),
             files,
             index,
             cache: PageCache::new(page_bytes, cache_bytes),
@@ -382,6 +401,13 @@ impl SegmentStore {
         &self.anns
     }
 
+    /// A store of its own over the annotation table, for one run to add
+    /// summary annotations to: the table is shared, not copied, and
+    /// stays as it is.
+    pub fn overlay(&self) -> AnnStore {
+        AnnStore::over(Arc::clone(&self.anns))
+    }
+
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -394,20 +420,33 @@ impl SegmentStore {
         self.bytes_read
     }
 
-    fn load_page(&mut self, shard: u8, page_start: u64) -> Result<Vec<u8>, ProxError> {
-        let file = self.files.get_mut(&shard).ok_or_else(|| {
+    /// Make `key` the cache's last page: a hit, or a miss that reads the
+    /// page into the buffer of the page it evicts. Either is counted.
+    fn fetch(&mut self, key: PageKey) -> Result<(), ProxError> {
+        if self.cache.get(key).is_some() {
+            return Ok(());
+        }
+        let shard = key.shard;
+        let seg = self.files.get_mut(&shard).ok_or_else(|| {
             ProxError::corrupt(
                 "segment read",
                 format!("no open file for shard {shard:02x}"),
             )
         })?;
         let page_bytes = self.cache.page_bytes();
-        file.seek(SeekFrom::Start(page_start))
+        let page_start = key.page * page_bytes as u64;
+        // What the loop below reads unless the file changed since open:
+        // the cache makes room for exactly that before the read.
+        let expected = seg.len.saturating_sub(page_start).min(page_bytes as u64) as usize;
+        let mut buf = self.cache.make_room(expected);
+        buf.resize(expected, 0);
+        seg.file
+            .seek(SeekFrom::Start(page_start))
             .map_err(|e| ProxError::io(format!("seek {}", segment_file(shard)), &e))?;
-        let mut buf = vec![0u8; page_bytes];
         let mut filled = 0;
-        while filled < page_bytes {
-            let n = file
+        while filled < expected {
+            let n = seg
+                .file
                 .read(&mut buf[filled..])
                 .map_err(|e| ProxError::io(format!("read {}", segment_file(shard)), &e))?;
             if n == 0 {
@@ -418,59 +457,7 @@ impl SegmentStore {
         buf.truncate(filled);
         BYTES_READ.add(filled as u64);
         self.bytes_read += filled as u64;
-        Ok(buf)
-    }
-
-    /// Append `len` bytes starting at `offset` in `shard` to `out`, going
-    /// through the page cache.
-    fn read_range(
-        &mut self,
-        shard: u8,
-        offset: u64,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ProxError> {
-        let page_bytes = self.cache.page_bytes() as u64;
-        let mut pos = offset;
-        let end = offset + len as u64;
-        while pos < end {
-            let page_no = pos / page_bytes;
-            let page_start = page_no * page_bytes;
-            let within = (pos - page_start) as usize;
-            let want = (end - pos) as usize;
-            let key = PageKey {
-                shard,
-                page: page_no,
-            };
-            let mut taken = None;
-            if let Some(bytes) = self.cache.get(key) {
-                let avail = bytes.len().saturating_sub(within);
-                let take = want.min(avail);
-                out.extend_from_slice(&bytes[within..within + take]);
-                taken = Some(take);
-            }
-            let take = match taken {
-                Some(t) => t,
-                None => {
-                    let page = self.load_page(shard, page_start)?;
-                    let bytes = self.cache.insert(key, page);
-                    let avail = bytes.len().saturating_sub(within);
-                    let take = want.min(avail);
-                    out.extend_from_slice(&bytes[within..within + take]);
-                    take
-                }
-            };
-            if take == 0 {
-                return Err(ProxError::corrupt(
-                    "segment read",
-                    format!(
-                        "{}: range {offset}+{len} runs past end of file",
-                        segment_file(shard)
-                    ),
-                ));
-            }
-            pos += take as u64;
-        }
+        self.cache.insert(key, buf);
         Ok(())
     }
 
@@ -480,51 +467,83 @@ impl SegmentStore {
         Ok(self.read_frame_at(pos)?.to_vec())
     }
 
-    /// Read the frame at index position `pos` into the reused frame
-    /// buffer, check its length and checksum there, and return its
-    /// payload.
+    /// Read the frame at index position `pos`, check its length, header
+    /// and checksum, and return its payload.
+    ///
+    /// A frame inside one cached page is checked and returned in place.
+    /// One that straddles pages is copied into the reused frame buffer
+    /// and checked there; so is every frame while the `PROX_FAULT`
+    /// harness is armed, because its `corrupt` hook flips bits in the
+    /// bytes a read checks, and a cached page must never take them. Both
+    /// ways look up the same pages in the same order.
     fn read_frame_at(&mut self, pos: usize) -> Result<&[u8], ProxError> {
-        let FrameLoc {
-            fp,
-            shard,
-            offset,
-            len,
-        } = self.index.get(pos);
+        let loc = self.index.get(pos);
+        let want = FRAME_OVERHEAD + loc.len as usize;
+        let page_bytes = self.cache.page_bytes() as u64;
+        let within = (loc.offset % page_bytes) as usize;
+        self.fetch(PageKey {
+            shard: loc.shard,
+            page: loc.offset / page_bytes,
+        })?;
+        if !fault::enabled() && within + want <= self.cache.last_page().len() {
+            let frame = &self.cache.last_page()[within..within + want];
+            check_header(frame, loc)?;
+            return check_payload(frame, loc);
+        }
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
-        let read = self.read_range(shard, offset, 4 + len as usize + 8, &mut frame);
+        let copied = self.copy_range(loc.shard, loc.offset, want, &mut frame);
         self.frame = frame;
-        read?;
-        let corrupt = |detail: String| {
-            ProxError::corrupt(
-                "segment frame",
-                format!("{} frame {fp:016x}: {detail}", segment_file(shard)),
-            )
-        };
-        if self.frame.len() != 4 + len as usize + 8 {
-            return Err(corrupt(format!("short read ({} bytes)", self.frame.len())));
+        copied?;
+        if self.frame.len() != want {
+            return Err(frame_corrupt(
+                loc,
+                format!("short read ({} bytes)", self.frame.len()),
+            ));
         }
-        let (header, rest) = self.frame.split_at_mut(4);
-        let declared = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        if declared != len {
-            return Err(corrupt(format!(
-                "index says {len} bytes, frame header says {declared}"
-            )));
-        }
-        let (payload, sum) = rest.split_at_mut(len as usize);
+        check_header(&self.frame, loc)?;
         // Fault-injection hook: `PROX_FAULT=corrupt` flips bits here and
         // must surface as a typed checksum error, never a panic.
-        fault::corrupt_bytes(payload);
-        let mut a = [0u8; 8];
-        a.copy_from_slice(sum);
-        let want = u64::from_le_bytes(a);
-        let got = fnv64(payload);
-        if got != want {
-            return Err(corrupt(format!(
-                "payload checksum mismatch (stored {want:016x}, computed {got:016x})"
-            )));
+        fault::corrupt_bytes(&mut self.frame[4..want - 8]);
+        check_payload(&self.frame, loc)
+    }
+
+    /// Append `len` bytes starting at `offset` in `shard` to `out`,
+    /// beginning with the cache's last page, which must hold `offset`,
+    /// and fetching each page after it.
+    fn copy_range(
+        &mut self,
+        shard: u8,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ProxError> {
+        let page_bytes = self.cache.page_bytes() as u64;
+        let end = offset + len as u64;
+        let mut pos = offset;
+        while pos < end {
+            if pos > offset {
+                self.fetch(PageKey {
+                    shard,
+                    page: pos / page_bytes,
+                })?;
+            }
+            let within = (pos % page_bytes) as usize;
+            let bytes = self.cache.last_page().get(within..).unwrap_or(&[]);
+            let take = bytes.len().min((end - pos) as usize);
+            if take == 0 {
+                return Err(ProxError::corrupt(
+                    "segment read",
+                    format!(
+                        "{}: range {offset}+{len} runs past end of file",
+                        segment_file(shard)
+                    ),
+                ));
+            }
+            out.extend_from_slice(&bytes[..take]);
+            pos += take as u64;
         }
-        Ok(payload)
+        Ok(())
     }
 
     /// Decode one entry by content address. The object id it returns is
@@ -573,22 +592,27 @@ impl SegmentStore {
 
     /// Walk the logical log, handing `f` each run-length record's
     /// `(fingerprint, count)`. Polls the budget session once per record,
-    /// as one step, before any page load `f` makes, and returns the
-    /// partial outcome when the budget trips (anytime contract). The
-    /// record stream's running checksum is verified when the walk
-    /// completes.
-    fn walk_log(
+    /// as one fine step ([`BudgetSession::note_fine_step`]), before any
+    /// page load `f` makes: the step cap, the cancel flag and an injected
+    /// trip act on the exact record, and the deadline is read every
+    /// [`prox_robust::CLOCK_STRIDE`] records. Returns the partial outcome
+    /// when the budget trips (anytime contract). The record stream's
+    /// running checksum is verified when the walk completes.
+    fn walk_log<F>(
         &mut self,
         session: &mut BudgetSession,
-        f: &mut dyn FnMut(&mut SegmentStore, u64, u64) -> Result<(), ProxError>,
-    ) -> Result<ScanOutcome, ProxError> {
+        mut f: F,
+    ) -> Result<ScanOutcome, ProxError>
+    where
+        F: FnMut(&mut SegmentStore, u64, u64) -> Result<(), ProxError>,
+    {
         let (file, records) = self.open_log()?;
         let mut reader = std::io::BufReader::new(file);
         let mut outcome = ScanOutcome::default();
         let mut checksum = FNV_OFFSET;
         let mut rec = [0u8; LOG_ENTRY_BYTES];
         for _ in 0..records {
-            if let Err(stop) = session.note_step() {
+            if let Err(stop) = session.note_fine_step() {
                 outcome.stopped = Some(stop);
                 return Ok(outcome);
             }
@@ -629,7 +653,7 @@ impl SegmentStore {
         session: &mut BudgetSession,
         f: &mut dyn FnMut(AnnId, Tensor, u64) -> Result<(), ProxError>,
     ) -> Result<ScanOutcome, ProxError> {
-        self.walk_log(session, &mut |store, fp, count| {
+        self.walk_log(session, |store, fp, count| {
             let (object, tensor) = store.read_entry(fp)?;
             f(object, tensor, count)
         })
@@ -658,11 +682,12 @@ impl SegmentStore {
         // Per object id: whether any frame read so far belongs to it.
         let mut object_seen = vec![false; max_ann];
         let mut object_count = 0;
+        let mut frames_read = 0;
         let mut size = 0;
         // object → fingerprint → (tensor, multiplicity), for the (at most)
         // `objects` smallest object ids seen so far.
         let mut kept: BTreeMap<AnnId, BTreeMap<u64, (Tensor, u64)>> = BTreeMap::new();
-        let outcome = self.walk_log(session, &mut |store, fp, count| {
+        let outcome = self.walk_log(session, |store, fp, count| {
             let pos = store.index.locate(fp)?;
             if seen[pos] != ABSENT {
                 let object = AnnId::from_index(seen[pos] as usize);
@@ -694,6 +719,7 @@ impl SegmentStore {
                 object_seen[object.index()] = true;
                 object_count += 1;
             }
+            frames_read += 1;
             size += frame_size;
             if let Some(tensor) = tensor {
                 kept.entry(object).or_default().insert(fp, (tensor, count));
@@ -719,6 +745,7 @@ impl SegmentStore {
         Ok(Fold {
             selection: ProvExpr::from_entries(agg, entries),
             objects: object_count,
+            frames: frames_read,
             size,
             outcome,
         })
@@ -766,16 +793,60 @@ impl SegmentStore {
     }
 }
 
+/// Check that a frame's header declares the length its index entry
+/// gives.
+fn check_header(frame: &[u8], loc: FrameLoc) -> Result<(), ProxError> {
+    let declared = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    if declared != loc.len {
+        return Err(frame_corrupt(
+            loc,
+            format!("index says {} bytes, frame header says {declared}", loc.len),
+        ));
+    }
+    Ok(())
+}
+
+/// Check a whole frame's payload against its checksum, and return the
+/// payload.
+fn check_payload(frame: &[u8], loc: FrameLoc) -> Result<&[u8], ProxError> {
+    let (payload, sum) = frame[4..].split_at(loc.len as usize);
+    let want = u64::from_le_bytes([
+        sum[0], sum[1], sum[2], sum[3], sum[4], sum[5], sum[6], sum[7],
+    ]);
+    let got = fnv64(payload);
+    if got != want {
+        return Err(frame_corrupt(
+            loc,
+            format!("payload checksum mismatch (stored {want:016x}, computed {got:016x})"),
+        ));
+    }
+    Ok(payload)
+}
+
+#[cold]
+fn frame_corrupt(loc: FrameLoc, detail: String) -> ProxError {
+    ProxError::corrupt(
+        "segment frame",
+        format!(
+            "{} frame {:016x}: {detail}",
+            segment_file(loc.shard),
+            loc.fp
+        ),
+    )
+}
+
 /// Round to 6 decimal places so ratios render identically across runs.
 fn round6(x: f64) -> f64 {
     (x * 1e6).round() / 1e6
 }
 
+/// Append a segment's index entries to `index`; returns the bytes read
+/// and the file's length.
 fn load_segment_index(
     file: &mut File,
     shard: u8,
     index: &mut Vec<FrameLoc>,
-) -> Result<u64, ProxError> {
+) -> Result<(u64, u64), ProxError> {
     let len = file
         .metadata()
         .map_err(|e| ProxError::io(format!("stat {}", segment_file(shard)), &e))?
@@ -821,7 +892,7 @@ fn load_segment_index(
                 len: e.len,
             }),
     );
-    Ok(read)
+    Ok((read, len))
 }
 
 #[cfg(test)]

@@ -23,12 +23,13 @@ use prox_obs::{fnv64, Json};
 use prox_provenance::{
     AggKind, AggValue, AnnId, AnnStore, CmpOp, Guard, Monomial, Polynomial, ProvExpr, Tensor,
 };
-use prox_robust::fault::FaultGuard;
-use prox_robust::{DetRng, ErrorKind, ExecutionBudget, ProxError};
+use prox_robust::fault::{self, FaultGuard};
+use prox_robust::{BudgetStop, DetRng, ErrorKind, ExecutionBudget, ProxError, CLOCK_STRIDE};
 use prox_store::codec::{entry_fingerprint, Enc};
 use prox_store::{
     build_synthetic, decode_annstore, decode_entry, encode_annstore, encode_entry, skim_entry,
-    verify_store, ScanOutcome, SegmentStore, StoreBuilder, SynthSpec, MANIFEST_FILE,
+    verify_store, ScanOutcome, SegmentStore, StoreBuilder, SynthSpec, DEFAULT_CACHE_BYTES,
+    DEFAULT_PAGE_BYTES, MANIFEST_FILE,
 };
 
 /// Cases per property.
@@ -521,6 +522,58 @@ fn open(dir: &Path) -> SegmentStore {
     SegmentStore::open(dir).unwrap_or_else(|e| panic!("open {}: {e}", dir.display()))
 }
 
+/// A page size and a page-cache ceiling to open a store with.
+#[derive(Clone, Copy, Debug)]
+struct Pages {
+    page_bytes: usize,
+    cache_bytes: usize,
+}
+
+/// The reader's defaults: 64 KiB pages under a 2 MiB ceiling, which
+/// hold a quick store whole.
+const DEFAULT_PAGES: Pages = Pages {
+    page_bytes: DEFAULT_PAGE_BYTES,
+    cache_bytes: DEFAULT_CACHE_BYTES,
+};
+
+/// Pages small enough that many frames straddle two, under a ceiling
+/// of eight of them, so a fold evicts pages all the way through.
+const SMALL_PAGES: Pages = Pages {
+    page_bytes: 512,
+    cache_bytes: 4096,
+};
+
+fn open_with(dir: &Path, pages: Pages) -> SegmentStore {
+    SegmentStore::open_with(dir, pages.page_bytes, pages.cache_bytes)
+        .unwrap_or_else(|e| panic!("open {}: {e}", dir.display()))
+}
+
+/// Run `f` with every frame read copied into the reader's frame buffer
+/// and checked there: an armed fault harness sends every read down that
+/// path, and a `corrupt` clause with probability 0 flips nothing. The
+/// caller holds the fault lock (`FaultGuard`), whose drop restores the
+/// plan it found.
+fn copying<T>(f: impl FnOnce() -> T) -> T {
+    let plan = fault::parse_spec("corrupt@0:1").unwrap_or_else(|e| panic!("spec: {e}"));
+    fault::install(Some(plan));
+    let out = f();
+    fault::install(None);
+    out
+}
+
+/// What a fold read: bytes, and the page cache's hits, misses,
+/// evictions and peak.
+fn reads(store: &SegmentStore) -> (u64, u64, u64, u64, u64) {
+    let c = store.cache_stats();
+    (
+        store.bytes_read(),
+        c.hits,
+        c.misses,
+        c.evictions,
+        c.peak_bytes,
+    )
+}
+
 /// What a selected fold must return, built from `scan()`'s record stream:
 /// frames grouped by object and merged by content address.
 struct Oracle {
@@ -571,10 +624,12 @@ impl Oracle {
     }
 }
 
-/// Check `SegmentStore::fold` on the store at `dir` against the oracle,
-/// for selections of 1, 4, all, and more than all objects, and under
-/// step budgets that trip at several record counts.
-fn check_selected_fold(dir: &Path, label: &str) {
+/// Check `SegmentStore::fold` on the store at `dir`, opened with
+/// `pages`, against the oracle, for selections of 1, 4, all, and more
+/// than all objects, and under step budgets that trip at several record
+/// counts. Each fold also equals a reference fold that copies every
+/// frame, and reads what it reads. Returns what a whole fold read.
+fn check_selected_fold(dir: &Path, label: &str, pages: Pages) -> (u64, u64, u64, u64, u64) {
     let agg = open(dir).info().agg;
     let full = Oracle::scan(dir, &ExecutionBudget::unlimited());
     let all = full.frames.len();
@@ -582,12 +637,13 @@ fn check_selected_fold(dir: &Path, label: &str) {
         all > 4,
         "{label}: the store has more objects than a selection"
     );
+    let mut whole = None;
     for objects in [1, 4, all, all + 3] {
-        let mut store = open(dir);
+        let mut store = open_with(dir, pages);
         let fold = store
             .fold(&mut ExecutionBudget::unlimited().start(), objects)
             .unwrap_or_else(|e| panic!("fold: {e}"));
-        let case = format!("{label}, {objects} objects");
+        let case = format!("{label}, {pages:?}, {objects} objects");
         assert_eq!(
             fold.selection,
             full.selection(objects, agg),
@@ -597,8 +653,20 @@ fn check_selected_fold(dir: &Path, label: &str) {
         assert_eq!(fold.size, full.size(), "{case}: size tally");
         assert!(fold.outcome.stopped.is_none(), "{case}: unlimited budget");
 
+        // Checking frames in place reads what copying them reads.
+        let mut reference = open_with(dir, pages);
+        let copied = copying(|| reference.fold(&mut ExecutionBudget::unlimited().start(), objects))
+            .unwrap_or_else(|e| panic!("copying fold: {e}"));
+        assert_eq!(fold.selection, copied.selection, "{case}: copied selection");
+        assert_eq!(
+            (fold.objects, fold.frames, fold.size),
+            (copied.objects, copied.frames, copied.size),
+            "{case}: copied tallies"
+        );
+        assert_eq!(reads(&store), reads(&reference), "{case}: copied reads");
+
         // The selection never changes what is read.
-        let mut fresh = open(dir);
+        let mut fresh = open_with(dir, pages);
         let (_, collected) = fresh
             .collect(&mut ExecutionBudget::unlimited().start())
             .unwrap_or_else(|e| panic!("collect: {e}"));
@@ -608,13 +676,8 @@ fn check_selected_fold(dir: &Path, label: &str) {
             "{case}"
         );
         assert_eq!(fold.outcome.records_seen, collected.records_seen, "{case}");
-        assert_eq!(store.bytes_read(), fresh.bytes_read(), "{case}: bytes read");
-        let (a, b) = (store.cache_stats(), fresh.cache_stats());
-        assert_eq!(
-            (a.hits, a.misses),
-            (b.hits, b.misses),
-            "{case}: page-cache hits and misses"
-        );
+        assert_eq!(reads(&store), reads(&fresh), "{case}: reads");
+        whole = Some(reads(&store));
     }
 
     let records = full.outcome.records_seen as usize;
@@ -624,7 +687,7 @@ fn check_selected_fold(dir: &Path, label: &str) {
         assert_eq!(partial.outcome.records_seen, steps as u64);
         for objects in [1, 4, all + 3] {
             let case = format!("{label}, {objects} objects, trip after {steps} records");
-            let mut store = open(dir);
+            let mut store = open_with(dir, pages);
             let fold = store
                 .fold(&mut budget.start(), objects)
                 .unwrap_or_else(|e| panic!("a budget trip is not an error: {e}"));
@@ -643,6 +706,7 @@ fn check_selected_fold(dir: &Path, label: &str) {
             assert_eq!(fold.size, partial.size(), "{case}: size tally");
         }
     }
+    whole.unwrap_or_default()
 }
 
 /// A selected fold over seeded quick synthetic stores equals the oracle.
@@ -654,9 +718,90 @@ fn selected_fold_matches_the_scan_oracle_on_synthetic_stores() {
         let seed = rng.next_u64() % 100_000;
         let dir = scratch(&format!("select-{seed}")).expect("scratch dir is removable");
         build_synthetic(&dir, &SynthSpec::quick(seed)).expect("build succeeds");
-        check_selected_fold(&dir, &format!("quick store {seed}"));
+        for pages in [DEFAULT_PAGES, SMALL_PAGES] {
+            check_selected_fold(&dir, &format!("quick store {seed}"), pages);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// On `SynthSpec::quick(2016)`, a fold reads the bytes and makes the
+/// page-cache hits, misses, evictions and peak the copying reader made
+/// before frames were checked in place and evicted pages' buffers were
+/// reused; the figures are that reader's. Small pages make frames
+/// straddle pages and a small ceiling evicts them.
+#[test]
+fn folds_read_the_pinned_pages() {
+    let _clean = FaultGuard::disabled();
+    let dir = scratch("pinned-reads").expect("scratch dir is removable");
+    build_synthetic(&dir, &SynthSpec::quick(2016)).expect("build succeeds");
+    let pinned = [
+        (DEFAULT_PAGES, (488_832, 3_975, 16, 0, 303_892)),
+        (SMALL_PAGES, (1_471_596, 1_839, 2_513, 2_505, 4_096)),
+        (
+            Pages {
+                page_bytes: 4096,
+                cache_bytes: 16 * 1024,
+            },
+            (12_571_244, 998, 3_024, 3_020, 16_384),
+        ),
+    ];
+    for (pages, want) in pinned {
+        let got = check_selected_fold(&dir, "quick store 2016", pages);
+        assert_eq!(
+            got, want,
+            "{pages:?}: (bytes, hits, misses, evictions, peak)"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fold whose deadline has passed stops within
+/// [`prox_robust::CLOCK_STRIDE`] records: the walk reads the clock on
+/// its first record and every stride after. It is the anytime partial
+/// fold, not an error.
+#[test]
+fn a_passed_deadline_stops_the_fold_within_a_clock_stride() {
+    let _clean = FaultGuard::disabled();
+    let dir = scratch("deadline").expect("scratch dir is removable");
+    build_synthetic(&dir, &SynthSpec::quick(2016)).expect("build succeeds");
+    let budget = ExecutionBudget::unlimited().with_deadline_at(std::time::Instant::now());
+    let fold = open(&dir)
+        .fold(&mut budget.start(), 4)
+        .unwrap_or_else(|e| panic!("a deadline trip is not an error: {e}"));
+    assert_eq!(fold.outcome.stopped, Some(BudgetStop::Deadline));
+    assert!(
+        (fold.outcome.records_seen as usize) < CLOCK_STRIDE,
+        "{} records past the deadline",
+        fold.outcome.records_seen
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `PROX_FAULT=budget@N` trips a fold after exactly `N` records: the
+/// walk polls once per record, and an injected trip is counted on every
+/// poll, clock read or not.
+#[test]
+fn an_injected_budget_trip_stops_the_fold_after_n_records() {
+    let dir = scratch("injected").expect("scratch dir is removable");
+    {
+        let _clean = FaultGuard::disabled();
+        build_synthetic(&dir, &SynthSpec::quick(2016)).expect("build succeeds");
+    }
+    for n in [0u64, 1, 37, 64, 65, 1000] {
+        let _g = FaultGuard::install(&format!("budget@{n}:1")).expect("valid spec");
+        let budget = ExecutionBudget::unlimited().with_deadline_ms(60_000);
+        let fold = open(&dir)
+            .fold(&mut budget.start(), 4)
+            .unwrap_or_else(|e| panic!("an injected trip is not an error: {e}"));
+        assert_eq!(
+            fold.outcome.stopped,
+            Some(BudgetStop::Injected),
+            "budget@{n}"
+        );
+        assert_eq!(fold.outcome.records_seen, n, "budget@{n}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A store whose log repeats fingerprints in non-adjacent runs: a pool of
@@ -689,7 +834,9 @@ fn selected_fold_merges_non_adjacent_repeats() {
         summary.log_entries > summary.unique,
         "the log repeats fingerprints"
     );
-    check_selected_fold(&dir, "repeating store");
+    for pages in [DEFAULT_PAGES, SMALL_PAGES] {
+        check_selected_fold(&dir, "repeating store", pages);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

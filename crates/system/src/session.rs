@@ -112,7 +112,7 @@ impl Session {
                 .and_then(|(o, _)| full.scalar_for(*o));
             out.push(GroupView {
                 target: a,
-                name: ann.name.clone(),
+                name: ann.name.to_string(),
                 size: ann.base_members().len(),
                 members,
                 shared_attrs,

@@ -470,7 +470,7 @@ fn store_cmd(args: &[String]) -> Result<String, ProxError> {
                 // log records; budget polling makes the cap exact.
                 let budget = prox_robust::ExecutionBudget::unlimited().with_max_steps(sample);
                 let mut session = budget.start();
-                let anns = store.anns().clone();
+                let anns = store.overlay();
                 let mut lines = Vec::new();
                 store.scan(&mut session, &mut |object, tensor, n| {
                     lines.push(
@@ -540,7 +540,7 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
             // summarized as `POST /summarize/store` summarizes its fold.
             let mut store = prox_store::SegmentStore::open(Path::new(&dir))?;
             let (selection, outcome) = store.collect(&mut request.budget.start())?;
-            let mut anns = store.anns().clone();
+            let mut anns = store.overlay();
             let mut result = summarize_selection(&selection, &mut anns, request.config())?;
             // A fold the budget cut short summarized part of the store:
             // the stop line says so, as it does for a mid-run trip.

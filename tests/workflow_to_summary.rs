@@ -131,7 +131,7 @@ fn workflow_provenance_roundtrips_through_the_store() {
     assert_eq!(loaded.len(), store.len());
     for (id, ann) in store.iter() {
         assert_eq!(loaded.by_name(&ann.name), Some(id));
-        assert_eq!(loaded.name(id), ann.name);
+        assert_eq!(loaded.name(id), &*ann.name);
         assert_eq!(
             loaded.domain_name(loaded.get(id).domain),
             store.domain_name(ann.domain)
