@@ -3,18 +3,18 @@
 //! `panic`) and record how the resilience layer held up.
 //!
 //! The driver is a single sequential client — one request in flight at a
-//! time — so the fault sites' per-call counters, the circuit breaker's
-//! arrival-driven state machine, and the per-tenant token buckets (virtual
-//! clock under `PROX_DETERMINISTIC`) all advance in an order that is a
-//! pure function of the schedule. Two same-seed runs produce byte-stable
-//! `reports/manifest_chaos.json` files, so `prox bench diff` gates the
-//! result against the committed baseline exactly: any moved tally fails.
+//! time — so the fault sites' per-call counters and the per-tenant token
+//! buckets (virtual clock under `PROX_DETERMINISTIC`) advance in an order
+//! that is a pure function of the schedule. Two same-seed runs produce
+//! byte-stable `reports/manifest_chaos.json` files, so `prox bench diff`
+//! gates the result against the committed baseline exactly: any moved
+//! tally fails.
 //!
 //! The report answers the overload questions directly: shed rate (429 +
 //! 503 finals over offered), whether every shed carried `Retry-After`
-//! (`missing_retry_after` must be 0), breaker transition counts, worker
-//! panics recovered without a pool death, and a final `/healthz` probe
-//! proving the server outlived the storm.
+//! (`missing_retry_after` must be 0), worker panics recovered without a
+//! pool death — each one answered as a typed 500 — and a final `/healthz`
+//! probe proving the server outlived the storm.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -197,8 +197,8 @@ fn chaos_storm(
     plan: ChaosPlan,
     manifest: &mut RunManifest,
 ) -> Result<(), ProxError> {
-    // A tight breaker and a slow bucket: the storm must actually trip the
-    // breaker and exhaust tenants, or the soak proves nothing.
+    // A slow bucket: the storm must actually exhaust tenants, or the soak
+    // proves nothing.
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
@@ -208,18 +208,13 @@ fn chaos_storm(
         io_deadline_ms: 30_000,
         tenant_rate: 2.0,
         tenant_burst: 3.0,
-        breaker_threshold: 2,
         ..ServerConfig::default()
     };
-    let breaker_threshold = config.breaker_threshold;
     let tenant_rate = config.tenant_rate;
     let tenant_burst = config.tenant_burst;
     let workers = config.workers;
 
     let panics0 = prox_obs::counter_value("serve/worker_panics").unwrap_or(0);
-    let opened0 = prox_obs::counter_value("serve/breaker_opened").unwrap_or(0);
-    let half0 = prox_obs::counter_value("serve/breaker_half_open").unwrap_or(0);
-    let closed0 = prox_obs::counter_value("serve/breaker_closed").unwrap_or(0);
     let denials0: BTreeMap<String, u64> = tenant_denials().into_iter().collect();
 
     let handle = Server::start(config)?;
@@ -265,7 +260,6 @@ fn chaos_storm(
             "server",
             Json::obj()
                 .with("workers", workers)
-                .with("breaker_threshold", breaker_threshold)
                 .with("tenant_rate", tenant_rate)
                 .with("tenant_burst", tenant_burst),
         )
@@ -294,13 +288,6 @@ fn chaos_storm(
                 .with("count", shed_finals)
                 .with("rate", shed_finals as f64 / plan.total() as f64)
                 .with("missing_retry_after", tally.missing_retry_after),
-        )
-        .with(
-            "breaker",
-            Json::obj()
-                .with("opened", counter_delta("serve/breaker_opened", opened0))
-                .with("half_open", counter_delta("serve/breaker_half_open", half0))
-                .with("closed", counter_delta("serve/breaker_closed", closed0)),
         )
         .with(
             "workers_recovered",
@@ -380,11 +367,15 @@ mod tests {
         assert_eq!(answered + dropped, total);
 
         // The storm actually stormed: panics were injected and recovered,
-        // and the breaker moved.
+        // every one reached its client as a typed 500, and nothing else
+        // answered 500.
         let workers = chaos.get("workers_recovered").expect("workers");
-        assert!(workers.get("panics").and_then(Json::as_u64).unwrap_or(0) > 0);
-        let breaker = chaos.get("breaker").expect("breaker");
-        assert!(breaker.get("opened").and_then(Json::as_u64).unwrap_or(0) > 0);
+        let panics = workers.get("panics").and_then(Json::as_u64).unwrap_or(0);
+        assert!(panics > 0);
+        assert_eq!(
+            responses.get("internal_500").and_then(Json::as_u64),
+            Some(panics)
+        );
 
         // Every shed carried Retry-After, and the pool outlived the storm.
         let shed = chaos.get("shed").expect("shed");

@@ -247,7 +247,6 @@ const OLD_DET_FILES: &[&str] = &[
     "crates/obs/src/window.rs",
     "crates/obs/src/alloc.rs",
     "crates/obs/src/prof.rs",
-    "crates/serve/src/breaker.rs",
     "crates/serve/src/health.rs",
     "crates/serve/src/ratelimit.rs",
     "crates/bench/src/diff.rs",

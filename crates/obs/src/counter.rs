@@ -13,7 +13,8 @@
 //! Counters self-register with the global registry the first time they are
 //! incremented, so instrumented crates never have to coordinate a
 //! registration pass. When the registry is disabled (the default), `add`
-//! is a single relaxed atomic load and an early return.
+//! is a single relaxed atomic load and an early return; once a counter is
+//! registered, an enabled `add` is two relaxed loads and a `fetch_add`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -47,7 +48,7 @@ impl Counter {
         if !registry::enabled() {
             return;
         }
-        self.register();
+        registry::register_once(&self.registered, &registry::COUNTERS, self);
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -60,12 +61,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn register(&'static self) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry::register_counter(self);
-        }
     }
 
     pub(crate) fn reset(&self) {
@@ -98,6 +93,37 @@ mod tests {
             t.join().expect("thread");
         }
         assert_eq!(CONCURRENT.get() - before, 80_000);
+    }
+
+    static FIRST_USE: Counter = Counter::new("test/first_use_race");
+
+    #[test]
+    fn racing_first_increments_register_once() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        // Nothing else touches this counter: its first increments are the
+        // threads' own, released together.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..1_000 {
+                        FIRST_USE.incr();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("thread");
+        }
+        let listed: Vec<u64> = crate::counters_sorted()
+            .into_iter()
+            .filter(|(name, _)| name == "test/first_use_race")
+            .map(|(_, value)| value)
+            .collect();
+        assert_eq!(listed, [8_000]);
     }
 
     #[test]

@@ -74,9 +74,7 @@ impl Gauge {
     }
 
     fn register(&'static self) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry::register_gauge(self);
-        }
+        registry::register_once(&self.registered, &registry::GAUGES, self);
     }
 
     pub(crate) fn reset(&self) {

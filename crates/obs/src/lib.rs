@@ -70,8 +70,8 @@ pub use histogram::{Histogram, NBUCKETS};
 pub use json::{Json, JsonError};
 pub use prom::{render_prometheus, PROMETHEUS_CONTENT_TYPE};
 pub use registry::{
-    counter_value, counters_sorted, enabled, gauge_value, gauges_sorted, init_from_env,
-    render_snapshot, reset, set_enabled, snapshot, spans_sorted,
+    counter_value, counters_sorted, enabled, gauges_sorted, init_from_env, render_snapshot, reset,
+    set_enabled, snapshot, spans_sorted,
 };
 pub use span::{SpanGuard, SpanTimer};
 pub use trace::{

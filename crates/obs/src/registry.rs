@@ -19,9 +19,9 @@ use crate::span::SpanTimer;
 use crate::window;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
-static SPANS: Mutex<Vec<&'static SpanTimer>> = Mutex::new(Vec::new());
+pub(crate) static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
+pub(crate) static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
+pub(crate) static SPANS: Mutex<Vec<&'static SpanTimer>> = Mutex::new(Vec::new());
 
 /// Is observability collection on? Inlined into every hot-path gate.
 #[inline(always)]
@@ -55,16 +55,21 @@ pub fn init_from_env() -> bool {
     }
 }
 
-pub(crate) fn register_counter(c: &'static Counter) {
-    crate::lock(&COUNTERS).push(c);
-}
-
-pub(crate) fn register_gauge(g: &'static Gauge) {
-    crate::lock(&GAUGES).push(g);
-}
-
-pub(crate) fn register_span(s: &'static SpanTimer) {
-    crate::lock(&SPANS).push(s);
+/// Add `entry` to `list` the first time any caller finds `registered`
+/// unset: how counters, gauges and span timers register on first use. A
+/// relaxed load answers every later call, so a hot counter pays no
+/// read-modify-write; the swap lets exactly one of several racing first
+/// callers push. Both stay relaxed because the flag publishes nothing:
+/// `list` is read only under its own lock.
+#[inline]
+pub(crate) fn register_once<T>(
+    registered: &AtomicBool,
+    list: &Mutex<Vec<&'static T>>,
+    entry: &'static T,
+) {
+    if !registered.load(Ordering::Relaxed) && !registered.swap(true, Ordering::Relaxed) {
+        crate::lock(list).push(entry);
+    }
 }
 
 /// Zero every registered counter, gauge, and histogram — and the request
@@ -93,14 +98,6 @@ pub fn counter_value(name: &str) -> Option<u64> {
         .iter()
         .find(|c| c.name() == name)
         .map(|c| c.get())
-}
-
-/// Current value of a registered gauge, by name.
-pub fn gauge_value(name: &str) -> Option<i64> {
-    crate::lock(&GAUGES)
-        .iter()
-        .find(|g| g.name() == name)
-        .map(|g| g.get())
 }
 
 /// Name/value pairs of every registered counter, in registration order.

@@ -88,9 +88,7 @@ impl SpanTimer {
     }
 
     fn record(&'static self, d: Duration) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry::register_span(self);
-        }
+        registry::register_once(&self.registered, &registry::SPANS, self);
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.hist.record_ns(ns);
         if sink::active() {

@@ -4,8 +4,8 @@
 //! mixing function, one `u64` of state, no external dependency. Every
 //! seeded draw in the workspace comes from it: the synthetic datasets, the
 //! Random baseline, the sampling approximator, the fault harness, retry
-//! backoff, the breaker's probes, the store synthesizer and every property
-//! suite. Equal seeds give equal streams on every platform (rule L2).
+//! backoff, the store synthesizer and every property suite. Equal seeds
+//! give equal streams on every platform (rule L2).
 //!
 //! The draws beyond [`DetRng::next_u64`] are thin layers over it and keep
 //! no state of their own, so adding a call site never perturbs how an

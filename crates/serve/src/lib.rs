@@ -32,17 +32,16 @@
 //! already-admitted connections, and cancels in-flight budgets so long
 //! runs return their best-so-far summaries promptly.
 //!
-//! Overload hardening (see [`health`], [`ratelimit`], [`breaker`]):
-//! workers run every connection under `catch_unwind`, converting panics
-//! to typed 500s and feeding a `healthy`/`degraded`/`draining` state
-//! machine surfaced on `/healthz`; per-tenant token buckets keyed by
-//! `X-Prox-Tenant` answer hot tenants `429` + `Retry-After` ahead of the
-//! queue; and a circuit breaker around the summarize path sheds fast with
-//! `503` after consecutive internal failures instead of queueing doomed
-//! work. All three run on request-schedule (virtual) clocks so behavior
-//! replays byte-identically under `PROX_DETERMINISTIC`.
+//! Overload hardening (see [`health`], [`ratelimit`]): workers run every
+//! connection under `catch_unwind`, converting panics to typed 500s and
+//! feeding a `healthy`/`degraded`/`draining` state machine surfaced on
+//! `/healthz`; and per-tenant token buckets keyed by `X-Prox-Tenant`
+//! answer hot tenants `429` + `Retry-After` ahead of the queue. One guard
+//! per job: the queue bounds the server's load, the buckets each
+//! tenant's share, and supervision a handler's failure. Both run on
+//! request-schedule (virtual) clocks so behavior replays byte-identically
+//! under `PROX_DETERMINISTIC`.
 
-pub mod breaker;
 pub mod cache;
 pub mod health;
 pub mod http;
@@ -52,7 +51,6 @@ pub mod server;
 pub mod service;
 pub mod signal;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{fingerprint, SummaryCache};
 pub use health::{Health, HealthState};
 pub use http::{Request, Response};

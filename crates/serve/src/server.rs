@@ -14,11 +14,11 @@
 //!
 //! Worker supervision: every connection is handled under `catch_unwind`.
 //! A panicking handler (a bug, or the `panic` fault site) is converted to
-//! a typed 500 on the wire, counted in `serve/worker_panics`, reported to
-//! the [`Health`] state machine and the circuit breaker — and the worker
-//! keeps draining the queue, so one poisoned request never drops the
-//! requests queued behind it. A second `catch_unwind` around the whole
-//! loop restarts it if a panic ever escapes the per-connection boundary.
+//! a typed 500 on the wire, counted in `serve/worker_panics` and reported
+//! to the [`Health`] state machine — and the worker keeps draining the
+//! queue, so one poisoned request never drops the requests queued behind
+//! it. A second `catch_unwind` around the whole loop restarts it if a
+//! panic ever escapes the per-connection boundary.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,7 +29,6 @@ use std::time::Duration;
 use prox_obs::{Counter, Gauge};
 use prox_robust::{CancelFlag, ExecutionBudget, ProxError};
 
-use crate::breaker::BreakerConfig;
 use crate::health::Health;
 use crate::http::{self, Response};
 use crate::queue::Bounded;
@@ -67,9 +66,6 @@ pub struct ServerConfig {
     pub tenant_rate: f64,
     /// Per-tenant bucket capacity (burst).
     pub tenant_burst: f64,
-    /// Consecutive internal failures that trip the summarize circuit
-    /// breaker; `0` disables it.
-    pub breaker_threshold: u32,
     /// Segment-store directory (`--store <dir>`); when set, summaries
     /// are also served straight off segments on `/summarize/store`.
     pub store_dir: Option<String>,
@@ -89,7 +85,6 @@ impl Default for ServerConfig {
             trace_capacity: 128,
             tenant_rate: 50.0,
             tenant_burst: 20.0,
-            breaker_threshold: 5,
             store_dir: None,
         }
     }
@@ -122,25 +117,7 @@ impl Server {
 
         let shutdown = CancelFlag::new();
         let queue = Arc::new(Bounded::new(config.queue_capacity));
-        let mut ctx = ServiceCtx::new(
-            config.cache_capacity,
-            config.default_budget_ms,
-            shutdown.clone(),
-        )
-        .with_trace_settings(
-            config.trace_seed,
-            config.trace_sample_rate,
-            config.trace_capacity,
-        )
-        .with_resilience(
-            config.tenant_rate,
-            config.tenant_burst,
-            BreakerConfig {
-                threshold: config.breaker_threshold,
-                seed: config.trace_seed,
-                ..BreakerConfig::default()
-            },
-        );
+        let mut ctx = ServiceCtx::from_config(&config, shutdown.clone());
         if let Some(dir) = &config.store_dir {
             // Refusing to start beats serving 500s off a broken store.
             ctx = ctx.with_store(StoreState::open(dir)?);
@@ -286,7 +263,6 @@ fn worker_loop(queue: &Bounded<TcpStream>, ctx: &ServiceCtx, io_deadline_ms: u64
             Ok(()) => ctx.health.note_ok(),
             Err(_) => {
                 ctx.health.note_panic();
-                ctx.breaker.record_failure();
                 let _ = http::write_response(&mut stream, &service::panic_response());
             }
         }

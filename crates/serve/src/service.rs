@@ -55,12 +55,12 @@ use prox_system::summarization::{
 
 use prox_core::{StopReason, SummarizeConfig};
 
-use crate::breaker::{BreakerAdmission, BreakerConfig, CircuitBreaker};
 use crate::cache::{fingerprint, SummaryCache};
 use crate::health::{Health, HealthState};
 use crate::http::{Request, Response};
 use crate::lock;
 use crate::ratelimit::{self, Admission, RateLimiter};
+use crate::server::ServerConfig;
 
 static REQUESTS: Counter = Counter::new("serve/requests");
 static ERRORS: Counter = Counter::new("serve/errors");
@@ -82,8 +82,6 @@ pub struct ServiceCtx {
     /// Process health (`healthy`/`degraded`/`draining`), fed by worker
     /// supervision and surfaced on `/healthz`.
     pub health: Health,
-    /// Circuit breaker around the summarize path.
-    pub breaker: CircuitBreaker,
     /// Per-tenant token buckets (`X-Prox-Tenant`).
     pub limiter: Mutex<RateLimiter>,
     /// Retained request traces, tail-sampled (`/debug/traces`).
@@ -127,21 +125,37 @@ impl StoreState {
 }
 
 impl ServiceCtx {
-    /// Fresh context with an empty cache and default trace settings
-    /// (seed 0, retain every trace, ring of 128). The slow threshold
-    /// comes from `PROX_SLOW_MS`.
+    /// Fresh context with an empty cache and the trace and tenant
+    /// settings of [`ServerConfig::default`].
     pub fn new(cache_capacity: usize, default_budget_ms: u64, shutdown: CancelFlag) -> Self {
+        ServiceCtx::from_config(
+            &ServerConfig {
+                cache_capacity,
+                default_budget_ms,
+                ..ServerConfig::default()
+            },
+            shutdown,
+        )
+    }
+
+    /// The context a server with `config` hands its workers, without the
+    /// store (see [`ServiceCtx::with_store`]). The limiter's clock follows
+    /// `PROX_DETERMINISTIC`; the slow threshold comes from `PROX_SLOW_MS`.
+    pub(crate) fn from_config(config: &ServerConfig, shutdown: CancelFlag) -> Self {
         let deterministic = prox_obs::deterministic_mode();
         ServiceCtx {
-            cache: Mutex::new(SummaryCache::new(cache_capacity)),
-            default_budget_ms,
+            cache: Mutex::new(SummaryCache::new(config.cache_capacity)),
+            default_budget_ms: config.default_budget_ms,
             shutdown,
             health: Health::new(),
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
-            limiter: Mutex::new(RateLimiter::new(50.0, 20.0, deterministic)),
-            traces: TraceRing::new(128),
-            trace_seed: 0,
-            trace_sample_rate: 1.0,
+            limiter: Mutex::new(RateLimiter::new(
+                config.tenant_rate,
+                config.tenant_burst,
+                deterministic,
+            )),
+            traces: TraceRing::new(config.trace_capacity),
+            trace_seed: config.trace_seed,
+            trace_sample_rate: config.trace_sample_rate,
             slow_ms: slow_ms_from_env(),
             store: None,
             seq: AtomicU64::new(0),
@@ -152,30 +166,6 @@ impl ServiceCtx {
     /// the `/summarize/store` and `/store/stats` endpoints.
     pub fn with_store(mut self, store: StoreState) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Override the trace seed, healthy-request sample rate, and ring
-    /// capacity (see [`crate::server::ServerConfig`]).
-    pub fn with_trace_settings(mut self, seed: u64, sample_rate: f64, capacity: usize) -> Self {
-        self.trace_seed = seed;
-        self.trace_sample_rate = sample_rate;
-        self.traces = TraceRing::new(capacity);
-        self
-    }
-
-    /// Override the per-tenant bucket and circuit-breaker tunables (see
-    /// [`crate::server::ServerConfig`]). The limiter's clock follows
-    /// `PROX_DETERMINISTIC`.
-    pub fn with_resilience(
-        mut self,
-        tenant_rate: f64,
-        tenant_burst: f64,
-        breaker: BreakerConfig,
-    ) -> Self {
-        let deterministic = prox_obs::deterministic_mode();
-        self.limiter = Mutex::new(RateLimiter::new(tenant_rate, tenant_burst, deterministic));
-        self.breaker = CircuitBreaker::new(breaker);
         self
     }
 }
@@ -645,33 +635,12 @@ fn summary_json(fp: &str, params: &Params, data: &MovieLens, out: &Summarized) -
         .with("summary", Json::Arr(names))
 }
 
-/// The `503` an open circuit breaker answers with.
-fn breaker_shed_response(retry_after_secs: u64) -> Response {
-    let mut resp = Response::json(
-        503,
-        Json::obj()
-            .with("error", "summarize circuit breaker open")
-            .with("kind", "overload")
-            .render(),
-    );
-    resp.retry_after = Some(retry_after_secs);
-    resp
-}
-
 fn summarize_route(
     req: &Request,
     ctx: &ServiceCtx,
     trace: Option<&TraceContext>,
 ) -> Result<Response, ProxError> {
     let params = parse_params(&req.body)?;
-    // Circuit breaker: while open, shed fast — before budgets, cache
-    // probes, or any summarization work is queued.
-    if let BreakerAdmission::Shed { retry_after_secs } = ctx.breaker.admit() {
-        if let Some(t) = trace {
-            t.note("breaker", "shed");
-        }
-        return Ok(breaker_shed_response(retry_after_secs));
-    }
     // Fault site: an armed `panic` clause unwinds from here through the
     // worker supervision boundary, which answers a typed 500.
     prox_robust::fault::maybe_panic();
@@ -681,24 +650,12 @@ fn summarize_route(
         if let Some(t) = trace {
             t.note("cache", "hit");
         }
-        ctx.breaker.record_success();
         return Ok(Response::json(200, body));
     }
     if let Some(t) = trace {
         t.note("cache", "miss");
     }
-    let (data, out) = match run_summarize(&params, budget) {
-        Ok(v) => v,
-        Err(e) => {
-            // Only internal faults feed the breaker: client errors (400)
-            // and budget exhaustion (408) say nothing about path health.
-            if e.kind() == ErrorKind::Internal {
-                ctx.breaker.record_failure();
-            }
-            return Err(e);
-        }
-    };
-    ctx.breaker.record_success();
+    let (data, out) = run_summarize(&params, budget)?;
     let body = summary_json(&fingerprint(&key), &params, &data, &out).render();
     if cacheable(out.result.stop_reason) {
         lock(&ctx.cache).put(key, body.clone());
@@ -941,9 +898,8 @@ pub fn route(req: &Request, ctx: &ServiceCtx) -> Response {
     route_traced(req, ctx, None)
 }
 
-/// The resilience snapshot served on `/metrics.json` and rendered by
-/// `prox stats`: health state, breaker state, panic/denial counters, and
-/// the per-tenant 429 tally.
+/// The resilience snapshot served on `/metrics.json`: health state,
+/// panic/denial counters, and the per-tenant 429 tally.
 pub fn resilience_json(ctx: &ServiceCtx) -> Json {
     let mut tenants = Json::obj();
     for (tenant, denied) in ratelimit::tenant_denials() {
@@ -951,7 +907,6 @@ pub fn resilience_json(ctx: &ServiceCtx) -> Json {
     }
     Json::obj()
         .with("health", ctx.health.state().name())
-        .with("breaker", ctx.breaker.state().name())
         .with(
             "worker_panics",
             prox_obs::counter_value("serve/worker_panics").unwrap_or(0),

@@ -1,6 +1,7 @@
 //! End-to-end resilience: worker supervision under the `panic` fault
-//! site, per-tenant 429 semantics over a real socket, and the draining
-//! health state during shutdown.
+//! site (a failure streak is answered 500 by 500 and refuses no later
+//! request), per-tenant 429 semantics over a real socket, and the
+//! draining health state during shutdown.
 //!
 //! Own test binary: the fault plan is process-global, so injected panics
 //! must not share a process with tests expecting healthy workers. Within
@@ -34,18 +35,21 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 
 #[test]
 fn workers_survive_injected_panics_and_answer_typed_500s() {
-    // Threshold high enough that the breaker never opens: this test
-    // isolates supervision, not breaking.
-    let mut cfg = config();
-    cfg.breaker_threshold = 100;
-    let handle = Server::start(cfg).expect("server starts");
+    prox_obs::set_enabled(true);
+    let count = |name: &str| prox_obs::counter_value(name).unwrap_or(0);
+    let shed0 = count("serve/shed");
+    let handle = Server::start(config()).expect("server starts");
     let addr = handle.addr().to_string();
 
     {
-        // Every summarize panics; each must come back as a typed 500,
-        // never a hung or reset connection.
+        // Every summarize panics, eight times in a row under the default
+        // config; each must come back as a typed 500, never a shed, a
+        // hung or a reset connection. No other test in this binary can
+        // answer an error while the guard is held.
         let _g = FaultGuard::install("panic@1:7").expect("valid spec");
-        for i in 0..4 {
+        let errors0 = count("serve/errors");
+        let panics0 = count("serve/worker_panics");
+        for i in 0..8 {
             let (status, body) = client_request(
                 &addr,
                 "POST",
@@ -59,6 +63,8 @@ fn workers_survive_injected_panics_and_answer_typed_500s() {
             let parsed = Json::parse(&body).expect("panic body is JSON");
             assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("internal"));
         }
+        assert_eq!(count("serve/errors") - errors0, 8);
+        assert_eq!(count("serve/worker_panics") - panics0, 8);
         assert_eq!(handle.health().state(), HealthState::Degraded);
     }
 
@@ -75,7 +81,11 @@ fn workers_survive_injected_panics_and_answer_typed_500s() {
         30_000,
     )
     .expect("request completes");
-    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        status, 200,
+        "the failure streak refuses no later request: {body}"
+    );
+    assert_eq!(count("serve/shed"), shed0);
     let (status, body) = client_request(&addr, "GET", "/healthz", &[], b"", 10_000).expect("hz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
@@ -86,7 +96,6 @@ fn workers_survive_injected_panics_and_answer_typed_500s() {
 fn panicking_request_does_not_drop_requests_queued_behind_it() {
     let mut cfg = config();
     cfg.workers = 1; // one worker: queued requests sit behind the panic
-    cfg.breaker_threshold = 100;
     let handle = Server::start(cfg).expect("server starts");
     let addr = handle.addr().to_string();
     let _g = FaultGuard::install("panic@1:11").expect("valid spec");

@@ -219,10 +219,8 @@ impl App {
             "stats" => {
                 if prox_obs::enabled() {
                     format!(
-                        "{}{}{}{}{}",
+                        "{}{}{}",
                         prox_obs::render_snapshot(),
-                        render_window_stats(),
-                        render_resilience_stats(),
                         render_store_stats(),
                         render_lint_stats()
                     )
@@ -249,37 +247,6 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ProxEr
     value
         .parse()
         .map_err(|_| ProxError::config(format!("invalid value for {flag}: {value:?}")))
-}
-
-/// Render the sliding-window request statistics (the data behind
-/// `GET /metrics`), or nothing when no requests have been observed.
-fn render_window_stats() -> String {
-    let stats = prox_obs::window::stats(prox_obs::deterministic_mode());
-    if stats.endpoints.is_empty() && stats.shed == 0 {
-        return String::new();
-    }
-    let mut out = format!("window ({}s):\n", stats.window_secs);
-    if stats.shed > 0 {
-        out.push_str(&format!("  {:<40} {}\n", "(shed admissions)", stats.shed));
-    }
-    for e in &stats.endpoints {
-        out.push_str(&format!(
-            "  {:<40} n={} err={} degraded={}",
-            e.endpoint, e.requests, e.errors, e.degraded
-        ));
-        if e.cache_hits + e.cache_misses > 0 {
-            out.push_str(&format!(
-                " cache={}/{}",
-                e.cache_hits,
-                e.cache_hits + e.cache_misses
-            ));
-        }
-        if let (Some(p50), Some(p95), Some(p99)) = (e.p50_us, e.p95_us, e.p99_us) {
-            out.push_str(&format!(" p50={p50}us p95={p95}us p99={p99}us"));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Render the last `prox-lint --json` report (`reports/lint.json`), or
@@ -565,39 +532,6 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
     ))
 }
 
-/// Render the serve-layer resilience picture — worker supervision,
-/// circuit breaker transitions, and per-tenant rate limiting — or nothing
-/// when no resilience event has registered (the common healthy case).
-fn render_resilience_stats() -> String {
-    let counter = |name: &str| prox_obs::counter_value(name).unwrap_or(0);
-    let panics = counter("serve/worker_panics");
-    let opened = counter("serve/breaker_opened");
-    let half_open = counter("serve/breaker_half_open");
-    let closed = counter("serve/breaker_closed");
-    let rate_limited = counter("serve/rate_limited");
-    let health = prox_obs::gauge_value("serve/health_state");
-    if panics == 0 && opened == 0 && rate_limited == 0 && health.is_none() {
-        return String::new();
-    }
-    let state = match health.unwrap_or(0) {
-        1 => "degraded",
-        2 => "draining",
-        _ => "healthy",
-    };
-    let mut out = String::from("resilience:\n");
-    out.push_str(&format!("  {:<40} {state}\n", "health state"));
-    out.push_str(&format!("  {:<40} {panics}\n", "worker panics recovered"));
-    out.push_str(&format!(
-        "  {:<40} opened={opened} half_open={half_open} closed={closed}\n",
-        "breaker transitions"
-    ));
-    out.push_str(&format!("  {:<40} {rate_limited}\n", "rate-limited (429)"));
-    for (tenant, denied) in prox_serve::ratelimit::tenant_denials() {
-        out.push_str(&format!("    429 tenant {tenant:<32} {denied}\n"));
-    }
-    out
-}
-
 /// `prox serve [flags]`: run the HTTP service until SIGINT/SIGTERM.
 fn serve(args: &[String]) -> Result<(), ProxError> {
     let mut config = prox_serve::ServerConfig::default();
@@ -619,7 +553,6 @@ fn serve(args: &[String]) -> Result<(), ProxError> {
             "--trace-ring" => config.trace_capacity = parse_flag(flag, value)?,
             "--tenant-rate" => config.tenant_rate = parse_flag(flag, value)?,
             "--tenant-burst" => config.tenant_burst = parse_flag(flag, value)?,
-            "--breaker-threshold" => config.breaker_threshold = parse_flag(flag, value)?,
             "--store" => config.store_dir = Some(value.clone()),
             "--profile" => profile = Some(value.clone()),
             other => {
@@ -627,8 +560,8 @@ fn serve(args: &[String]) -> Result<(), ProxError> {
                     "unknown flag {other:?} — usage: prox serve [--addr host:port] \
                      [--workers n] [--queue n] [--cache n] [--budget-ms n] \
                      [--trace-seed n] [--sample-rate f] [--trace-ring n] \
-                     [--tenant-rate f] [--tenant-burst f] [--breaker-threshold n] \
-                     [--store dir] [--profile path]"
+                     [--tenant-rate f] [--tenant-burst f] [--store dir] \
+                     [--profile path]"
                 )))
             }
         }

